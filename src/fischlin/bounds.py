@@ -23,7 +23,8 @@ guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 
 __all__ = [
     "BoundParams",
@@ -162,36 +163,16 @@ class BoundReport:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        p = self.params
-        return {
-            "k": p.k, "l": p.l, "c": p.c_rate, "q": p.q,
-            "gamma": p.gamma, "N": p.N, "mu": p.mu, "m": p.m,
-            "mu_lower": p.mu_lower, "delta": p.delta,
-            "delta_prime": p.delta_prime, "eta": p.eta,
-            "n_prime": p.n_prime,
-            "log_eps_dprime": self.log_eps_dprime,
-            "log_eps_prime": self.log_eps_prime,
-            "log_eps_prime_alt": self.log_eps_prime_alt,
-            "log_eps_gamma_k": self.log_eps_gamma_k,
-            "log_eps_gamma_1mgk": self.log_eps_gamma_1mgk,
-            "log_eps": self.log_eps,
-            "log_closed_form": self.log_closed_form,
-            "eps_dprime": self.eps_dprime,
-            "eps_prime": self.eps_prime,
-            "eps_prime_alt": self.eps_prime_alt,
-            "eps_gamma_k": self.eps_gamma_k,
-            "eps_gamma_1mgk": self.eps_gamma_1mgk,
-            "eps": self.eps,
-            "eps_det": self.eps_det,
-            "eps_det_raw": self.eps_det_raw,
-            "closed_form": self.closed_form,
-            "eps_ex_raw": self.eps_ex_raw,
-            "eps_ex": self.eps_ex,
-            "applicable": self.applicable,
-            "vacuous": self.vacuous,
-            "constraints_ok": self.constraints_ok,
-            "warnings": self.warnings,
-        }
+        """Every field in declaration order, the parameters first; the rate
+        is keyed ``c`` and the intermediate ``n_w`` is left out."""
+        return dict(zip(_JSON_KEYS, _param_values(self.params) + _report_values(self)))
+
+
+_PARAM_FIELDS = [f.name for f in fields(BoundParams) if f.name != "n_w"]
+_REPORT_FIELDS = [f.name for f in fields(BoundReport) if f.name != "params"]
+_JSON_KEYS = ["c" if f == "c_rate" else f for f in _PARAM_FIELDS] + _REPORT_FIELDS
+_param_values = attrgetter(*_PARAM_FIELDS)
+_report_values = attrgetter(*_REPORT_FIELDS)
 
 
 def eval_closed_form(k: int, l: int, c_rate: float, log: bool = False) -> float:
@@ -338,12 +319,9 @@ _CSV_FIELDS = [
     "log_closed_form", "eps", "closed_form", "eps_det", "eps_ex",
     "applicable", "vacuous",
 ]
+_csv_values = itemgetter(*_CSV_FIELDS)
 
 
 def report_csv_rows(reports) -> tuple[list[str], list[list]]:
     """Header and rows for a CSV dump of a grid sweep."""
-    rows = []
-    for r in reports:
-        d = r.to_json()
-        rows.append([d[f] for f in _CSV_FIELDS])
-    return list(_CSV_FIELDS), rows
+    return list(_CSV_FIELDS), [list(_csv_values(r.to_json())) for r in reports]

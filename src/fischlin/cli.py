@@ -3,7 +3,8 @@
 Subcommands: keygen, prove, verify, extract, simulate, bounds, plan, lab.
 Every command prints machine-readable JSON on stdout (CSV for grid
 sweeps), writes human diagnostics to stderr, and exits 0 on
-success/accept, 1 on reject/not-found/abort, 2 on usage errors. All
+success/accept, 1 on reject/not-found/abort, 2 on usage errors and on
+malformed input files (proofs, transcripts, reprogram tables). All
 randomness is derived from --seed (or FISCHLIN_SEED, or the config file),
 so runs are byte-for-byte reproducible.
 """
@@ -154,11 +155,10 @@ def cmd_verify(args) -> int:
     config = _load_config(args.config)
     params, instance, protocol, proof = _read_proof(args)
     seed = _resolve_seed(args, config)
-    table = ReprogramTable()
+    table = None
     if args.table:
         with open(args.table) as fh:
-            for rec in json.load(fh):
-                table.overrides[bytes.fromhex(rec["key"])] = rec["y"]
+            table = ReprogramTable.from_json(params, json.load(fh))
     oracle = RecordingOracle(params, protocol, _oracle_seed(config, seed),
                              table=table)
     ok = transform.verify(params, protocol, instance, proof, oracle)
@@ -304,14 +304,8 @@ def cmd_lab(args) -> int:
                   "trials": args.trials}
     elif check == "query-smoke":
         rep = lab_mod.query_unitary_smoke(args.l, args.domain)
-        result = {"measured": {
-            "unitary_defect": rep.unitary_defect,
-            "empty_db_mass": rep.empty_db_mass,
-            "y_uniform_dev": rep.y_uniform_dev,
-            "db_size_excess_mass": rep.db_size_excess_mass,
-            "same_x_dev": rep.same_x_dev,
-            "independent_dev": rep.independent_dev,
-        }, "bound": 1e-12, "pass": rep.ok}
+        measured = {k: v for k, v in vars(rep).items() if k not in ("l", "domain_size")}
+        result = {"measured": measured, "bound": 1e-12, "pass": rep.ok}
         params = {"l": args.l, "domain": args.domain}
     else:
         raise ValueError(f"unknown lab check {check!r}")

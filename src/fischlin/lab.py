@@ -387,16 +387,17 @@ def query_unitary_smoke(l: int, domain_size: int) -> SmokeReport:
     two points are independent uniform, matching a lazily sampled random
     function.
     """
-    if domain_size * l > 12:
-        raise ValueError("domain too large for the dense smoke test")
     d = 1 << l
     dd = d + 1
     bot = d
+    # the dense operator below has side domain_size * dim_rest
+    dim_rest = d * dd ** domain_size
+    if domain_size < 1 or (domain_size * dim_rest) ** 2 > AMPLITUDE_CAP:
+        raise ValueError("need domain_size >= 1 and a dense operator within AMPLITUDE_CAP")
     op = _query_op(l)
 
     # O = sum_x |x><x| (x) O^x is block diagonal over the input register;
     # each block applies the two-register op to axes (Y, D_x).
-    dim_rest = d * dd ** domain_size
     full = np.zeros((domain_size * dim_rest,) * 2, dtype=complex)
     for x in range(domain_size):
         cols = np.eye(dim_rest, dtype=complex).reshape(

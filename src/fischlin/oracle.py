@@ -54,28 +54,37 @@ class TranscriptEntry:
     y: int
 
 
+def _encode_prefix(params, protocol, a_vec) -> bytes:
+    """Tag, u32 k, u32 l, then the k length-prefixed commitment encodings."""
+    if len(a_vec) != params.k:
+        raise ValueError("commitment vector length != k")
+    out = bytearray(_TAG)
+    out += struct.pack(">II", params.k, params.l)
+    for a in a_vec:
+        enc = protocol.encode_commitment(a)
+        out += len(enc).to_bytes(2, "big") + enc
+    return bytes(out)
+
+
+def _encode_tail(params, protocol, i: int, c: int, z) -> bytes:
+    """u32 i, u32 c, length-prefixed response encoding."""
+    if not 1 <= i <= params.k:
+        raise ValueError("repetition index out of range")
+    if not 0 <= c < params.N:
+        raise ValueError("challenge out of range")
+    enc = protocol.encode_response(z)
+    return struct.pack(">II", i, c) + len(enc).to_bytes(2, "big") + enc
+
+
 def encode_input(params, protocol, inp: OracleInput) -> bytes:
-    """Canonical bytes: tag, u32 k, u32 l, k length-prefixed commitment
-    encodings, u32 i, u32 c, length-prefixed response encoding.
+    """Canonical bytes: the commitment-vector prefix, then u32 i, u32 c and
+    the length-prefixed response encoding.
 
     Injective on well-formed inputs; also the total order used by the
     extractor's lexicographic tie-break.
     """
-    if len(inp.a_vec) != params.k:
-        raise ValueError("commitment vector length != k")
-    if not 1 <= inp.i <= params.k:
-        raise ValueError("repetition index out of range")
-    if not 0 <= inp.c < params.N:
-        raise ValueError("challenge out of range")
-    out = bytearray(_TAG)
-    out += struct.pack(">II", params.k, params.l)
-    for a in inp.a_vec:
-        enc = protocol.encode_commitment(a)
-        out += len(enc).to_bytes(2, "big") + enc
-    out += struct.pack(">II", inp.i, inp.c)
-    enc = protocol.encode_response(inp.z)
-    out += len(enc).to_bytes(2, "big") + enc
-    return bytes(out)
+    return _encode_prefix(params, protocol, inp.a_vec) + \
+        _encode_tail(params, protocol, inp.i, inp.c, inp.z)
 
 
 def decode_input(params, protocol, data: bytes) -> OracleInput:
@@ -136,29 +145,33 @@ class OracleTranscript:
         self.index[key] = y
 
     def to_jsonl(self, protocol) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(json.dumps({
-                "a": [protocol.encode_commitment(a).hex() for a in e.inp.a_vec],
-                "i": e.inp.i,
-                "c": e.inp.c,
-                "z": protocol.encode_response(e.inp.z).hex(),
-                "y": e.y,
-            }))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps({
+            "a": [protocol.encode_commitment(a).hex() for a in e.inp.a_vec],
+            "i": e.inp.i,
+            "c": e.inp.c,
+            "z": protocol.encode_response(e.inp.z).hex(),
+            "y": e.y,
+        }) + "\n" for e in self.entries)
 
     @classmethod
     def from_jsonl(cls, params, protocol, text: str) -> "OracleTranscript":
+        """Inverse of ``to_jsonl``; raises ValueError naming a malformed line."""
         ts = cls()
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            inp = OracleInput(
-                tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in rec["a"]),
-                rec["i"], rec["c"],
-                protocol.decode_response(bytes.fromhex(rec["z"])))
-            ts.record(encode_input(params, protocol, inp), inp, rec["y"])
+            try:
+                rec = json.loads(line)
+                i, c, y = rec["i"], rec["c"], rec["y"]
+                if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
+                    raise ValueError("i, c and y must be integers, y in [0, 2^l)")
+                inp = OracleInput(
+                    tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in rec["a"]),
+                    i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
+                key = encode_input(params, protocol, inp)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"transcript line {n}: {exc!r}") from None
+            ts.record(key, inp, y)
         return ts
 
 
@@ -173,6 +186,22 @@ class ReprogramTable:
 
     def to_json(self) -> list:
         return [{"key": k.hex(), "y": y} for k, y in self.overrides.items()]
+
+    @classmethod
+    def from_json(cls, params, records) -> "ReprogramTable":
+        """Inverse of ``to_json``; raises ValueError naming a malformed record."""
+        if not isinstance(records, list):
+            raise ValueError("reprogram table must be a JSON list")
+        table = cls()
+        for n, rec in enumerate(records):
+            try:
+                key, y = bytes.fromhex(rec["key"]), rec["y"]
+                if type(y) is not int or not 0 <= y < 1 << params.l:
+                    raise ValueError("y must be an integer in [0, 2^l)")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"table record {n}: {exc!r}") from None
+            table.overrides[key] = y
+        return table
 
 
 class RecordingOracle:
@@ -201,24 +230,12 @@ class RecordingOracle:
         self._avec_cache: dict[tuple, bytes] = {}
 
     def encode(self, inp: OracleInput) -> bytes:
+        """``encode_input`` with the commitment-vector prefix cached."""
         prefix = self._avec_cache.get(inp.a_vec)
         if prefix is None:
-            out = bytearray(_TAG)
-            out += struct.pack(">II", self.params.k, self.params.l)
-            if len(inp.a_vec) != self.params.k:
-                raise ValueError("commitment vector length != k")
-            for a in inp.a_vec:
-                enc = self.protocol.encode_commitment(a)
-                out += len(enc).to_bytes(2, "big") + enc
-            prefix = bytes(out)
+            prefix = _encode_prefix(self.params, self.protocol, inp.a_vec)
             self._avec_cache[inp.a_vec] = prefix
-        if not 1 <= inp.i <= self.params.k:
-            raise ValueError("repetition index out of range")
-        if not 0 <= inp.c < self.params.N:
-            raise ValueError("challenge out of range")
-        enc = self.protocol.encode_response(inp.z)
-        return prefix + struct.pack(">II", inp.i, inp.c) + \
-            len(enc).to_bytes(2, "big") + enc
+        return prefix + _encode_tail(self.params, self.protocol, inp.i, inp.c, inp.z)
 
     def query(self, inp: OracleInput) -> int:
         key = self.encode(inp)

@@ -17,13 +17,12 @@ sum_r (sqrt(q * p_r) + q * p_r / 2) for round maxima p_r.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
 
 from . import transform
-from .oracle import OracleInput
+from .oracle import OracleInput, ro_eval
 
 __all__ = [
     "TildeFunction",
@@ -45,13 +44,12 @@ class TildeFunction:
         self.seed = seed
         self.l = l
         self.cells: dict[tuple[int, int], int] = {}
+        self._hash_seed = b"fischlin-tilde" + seed
 
     def __call__(self, i: int, c: int) -> int:
         v = self.cells.get((i, c))
         if v is None:
-            digest = hashlib.sha256(
-                b"fischlin-tilde" + self.seed + struct.pack(">II", i, c)).digest()
-            v = int.from_bytes(digest[:8], "big") >> (64 - self.l)
+            v = ro_eval(self._hash_seed, struct.pack(">II", i, c), self.l)
             self.cells[(i, c)] = v
         return v
 

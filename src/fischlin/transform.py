@@ -9,8 +9,7 @@ extraction possible.
 
 Parameters: k repetitions, l hash bits, challenge space size N, and an
 attempt cap T. T defaults to N (enumerate the whole restricted challenge
-space); the legacy cap ceil(log2 lambda) * l is kept for reference as
-``t_legacy``.
+space).
 """
 
 from __future__ import annotations
@@ -46,15 +45,13 @@ class Abort(RuntimeError):
 @dataclass(frozen=True)
 class FischlinParams:
     """k repetitions, l hash bits, N challenges per repetition, attempt
-    cap T; ``c_rate`` and ``lam`` record how the set was derived."""
+    cap T; ``c_rate`` records the rate of an ``explicit`` derivation."""
 
     k: int
     l: int
     N: int
     T: int
     c_rate: float | None = None
-    t_legacy: int | None = None
-    lam: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -75,7 +72,7 @@ class FischlinParams:
         if lam % l != 0:
             raise ValueError("l must divide lambda")
         t = math.ceil(math.log2(lam)) * l
-        return cls(k=lam // l, l=l, N=t + 1, T=t + 1, t_legacy=t, lam=lam)
+        return cls(k=lam // l, l=l, N=t + 1, T=t + 1)
 
     @classmethod
     def explicit(cls, k: int, l: int, c_rate: float) -> "FischlinParams":
@@ -83,8 +80,7 @@ class FischlinParams:
         if k < 2 or l < 1 or c_rate <= 0:
             raise ValueError("arguments must be positive (k >= 2)")
         n = round(c_rate * 2.0 ** l * math.log2(k))
-        t_legacy = math.ceil(math.log2(k * l)) * l
-        return cls(k=k, l=l, N=n, T=n, c_rate=c_rate, t_legacy=t_legacy, lam=k * l)
+        return cls(k=k, l=l, N=n, T=n, c_rate=c_rate)
 
 
 @dataclass(frozen=True)
@@ -165,11 +161,7 @@ def peek_params(data: bytes) -> tuple[int, int, int]:
 
 
 def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
-    if data[:4] != _MAGIC:
-        raise ValueError("bad magic")
-    if len(data) < 16:
-        raise ValueError("truncated header")
-    k, l, n = struct.unpack_from(">III", data, 4)
+    k, l, n = peek_params(data)
     if (k, l, n) != (params.k, params.l, params.N):
         raise ValueError("parameter mismatch")
     off = 16

@@ -154,10 +154,44 @@ class TestProveVerifyPipeline:
                          "--instance", str(inst), "--proof", str(proof))
         assert code == 0
 
-    def test_missing_file_exits_2(self, tmp_path, capsys, keypair):
-        inst, _ = keypair
-        code, _, err = run(capsys, "verify", "--instance", str(inst),
-                           "--proof", str(tmp_path / "nope.bin"))
+    # Each case points one input file of verify (--proof, --table) or
+    # extract (--transcript) at a missing (None) or malformed file; a dict
+    # replaces fields of a recorded transcript line.
+    @pytest.mark.parametrize("flag,content", [
+        ("--proof", None),
+        ("--transcript", "null"),
+        ("--transcript", "[1]"),
+        ("--transcript", {"a": 5}),
+        ("--transcript", {"i": "x"}),
+        ("--transcript", {"c": 1.5}),
+        ("--transcript", {"y": 4}),
+        ("--table", "null"),
+        ("--table", "[5]"),
+        ("--table", '[{"key": "00", "y": 4}]'),
+        ("--table", '[{"key": "00", "y": "0"}]'),
+    ], ids=["proof-missing", "transcript-null", "transcript-list", "transcript-a-int",
+            "transcript-i-str", "transcript-c-float", "transcript-y-range",
+            "table-null", "table-int-record", "table-y-range", "table-y-str"])
+    def test_bad_input_file_exits_2(self, tmp_path, capsys, keypair, flag, content):
+        inst, wit = keypair
+        proof, record = tmp_path / "proof.bin", tmp_path / "transcript.jsonl"
+        code, _, _ = run(capsys, "prove", "--instance", str(inst),
+                         "--witness", str(wit), "--k", "2", "--l", "2",
+                         "--n", "16", "--out", str(proof),
+                         "--record", str(record), "--seed", "5")
+        assert code == 0
+        bad = tmp_path / "bad"
+        if isinstance(content, dict):
+            rec = json.loads(record.read_text().splitlines()[0])
+            content = json.dumps(dict(rec, **content))
+        if content is not None:
+            bad.write_text(content + "\n")
+        files = {"--proof": proof, flag: bad}
+        command = "extract" if flag == "--transcript" else "verify"
+        argv = [command, "--instance", str(inst), "--seed", "5"]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        code, _, err = run(capsys, *argv)
         assert code == 2 and "error" in err
 
     def test_usage_error_exits_2(self, capsys):

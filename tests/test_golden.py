@@ -1,0 +1,116 @@
+"""Byte-identity of the CLI on a fixed-seed command set.
+
+Each step runs one command in a shared working directory, with relative
+paths so that stdout does not depend on where the directory lives. Its
+digest is SHA-256 over the exit code, stdout and the bytes of every file
+the step writes. The pinned digests are those of the code before the wire
+formats (query encoding, proof header, truncated hash, reprogram-table
+JSON, bound-report keys) were folded into one definition each; a change
+here means some output byte changed.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from fischlin.cli import main
+
+GROUP = ["--p", "1019", "--q", "509", "--g", "4"]
+KEYS = ["--instance", "inst.json"]
+
+# (step name, argv, files the step writes)
+STEPS = [
+    ("keygen", ["keygen", *GROUP, "--seed", "7", "--out-instance", "inst.json",
+                "--out-witness", "wit.json"], ["inst.json", "wit.json"]),
+    ("prove-c", ["prove", *KEYS, "--witness", "wit.json", "--k", "4", "--l", "3",
+                 "--c", "2", "--seed", "3", "--out", "pc.bin"], ["pc.bin"]),
+    ("prove-n", ["prove", *KEYS, "--witness", "wit.json", "--k", "3", "--l", "2",
+                 "--n", "16", "--seed", "5", "--out", "pn.bin", "--json"], ["pn.bin"]),
+    # N = 768 exceeds the toy group's 509 challenges: the two-copy protocol
+    ("prove-record", ["prove", *KEYS, "--witness", "wit.json", "--k", "8", "--l", "6",
+                      "--c", "4", "--seed", "2", "--out", "pr.bin",
+                      "--record", "pr.jsonl"], ["pr.bin", "pr.jsonl"]),
+    ("verify", ["verify", *KEYS, "--proof", "pc.bin", "--seed", "3"], []),
+    ("extract", ["extract", *KEYS, "--proof", "pr.bin", "--transcript", "pr.jsonl"], []),
+    ("simulate", ["simulate", *KEYS, "--k", "4", "--l", "3", "--n", "40", "--seed", "4",
+                  "--out", "sim.bin", "--table-out", "table.json"],
+     ["sim.bin", "table.json"]),
+    ("verify-table", ["verify", *KEYS, "--proof", "sim.bin", "--table", "table.json",
+                      "--seed", "4", "--record", "sim.jsonl"], ["sim.jsonl"]),
+    ("bounds-point", ["bounds", "--k", str(2 ** 30), "--l", "14", "--c", "1",
+                      "--q", str(2 ** 20)], []),
+    # outside the validity region: the chain is not applicable and warns
+    ("bounds-point-vacuous", ["bounds", "--k", "4", "--l", "5", "--c", "1"], []),
+    ("bounds-grid", ["bounds", "--grid", "k=2^2..2^40;l=5,14,16;c=0.5,1,4",
+                     "--all-points", "--out", "grid.csv"], ["grid.csv"]),
+    ("plan", ["plan", "--k", str(2 ** 30), "--c", "1", "--base-n", "509"], []),
+    ("lab-comp-involution", ["lab", "comp-involution", "--l", "2"], []),
+    ("lab-comp-zero-tail", ["lab", "comp-zero-tail", "--l", "5", "--k", "655",
+                            "--gamma", "0.125"], []),
+    ("lab-measure", ["lab", "measure", "--m", "2", "--n", "1", "--l", "1",
+                     "--trials", "3", "--seed", "1"], []),
+    ("lab-martingale", ["lab", "martingale", "--m", "2", "--l", "1", "--trials", "50",
+                        "--seed", "1"], []),
+    ("lab-chernoff", ["lab", "chernoff", "--num", "64", "--trials", "50",
+                      "--seed", "1"], []),
+    ("lab-query-smoke", ["lab", "query-smoke", "--l", "1", "--domain", "2"], []),
+]
+
+EXPECTED = {
+    "keygen": "3d457fdb15e4b09d91d5cb0092e9500e8a8939887ffe6caf142097292629e8ce",
+    "prove-c": "b0168f3b5fcc3c26e9164b5d2374daf73645ea848ff5f6ccb31deb513da8cb08",
+    "prove-n": "1c613626a2458d774b3a0005a667d58fdae9dfcda4fc2eb3ff9f5cdbe69d1133",
+    "prove-record": "d19746fdc25b51d905d28f6052d49bc252a3fd61987b699948064ff9f592c2ca",
+    "verify": "f67e83f458b50bafe7ebcc52c6e223b37d6933bbb7187e4840152950aea04ac5",
+    "extract": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
+    "simulate": "6ccf677817e4d5e6a0343135113e142230c333d7d011b0045c6f6d29457044cc",
+    "verify-table": "ab815af76207a7e32269b55e21a6fd8aa4fccb606b119e51df21ed92af543f47",
+    "bounds-point": "8a7e39d33dbb2816aba111968183056a0b0f55210fece39f4b1db39ccea89140",
+    "bounds-point-vacuous": "b62fedef14c3f2c74731a79dd69f4b0e920605aa6b0da1eafdb27a6da8d79a90",
+    "bounds-grid": "c879ccb70ff387085fa93ba425ecaef32404be8ed71e623c011ad9c6995aa525",
+    "plan": "f96bc1c54ae27722c25e3fe629b059ab32d968cad9c95db060b87342ed9ebd14",
+    "lab-comp-involution": "e5e7adc34b2c483de77bc1fde4bbb92388a6f342cc4b76639472bf712fb5ec2e",
+    "lab-comp-zero-tail": "ec3a9380e6c8a7d13e5e7669c2daefe5ba2e557cd79a66b766a583bd6de09294",
+    "lab-measure": "4df4c9b206c7a028b87e43a81031f2dda74f7f4aafc7a6240ccdfbacf299b7e1",
+    "lab-martingale": "5a1fbaab1551c421f8f66a7e71add4f18299a4e9d74b09bacd66d6ec57f9f875",
+    "lab-chernoff": "98c459f341a249415472fbfd59007d746f7e9fd354b6f807dc88b320cc71a577",
+    "lab-query-smoke": "967b40c5697eaf7cf6975c86e3fdaceb9a61dd2f30ef13fa420e790dfe1cbefe",
+}
+
+
+def run_steps(workdir) -> dict:
+    """Run every step in ``workdir``; return step name -> hex digest."""
+    out = {}
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv, written in STEPS:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            h = hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
+            for path in written:
+                with open(path, "rb") as fh:
+                    h.update(b"\0" + path.encode() + b"\0" + fh.read())
+            out[name] = h.hexdigest()
+    finally:
+        os.chdir(old)
+    return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_steps(tmp_path_factory.mktemp("golden"))
+
+
+def test_steps_pinned():
+    assert [name for name, _, _ in STEPS] == list(EXPECTED)
+
+
+@pytest.mark.parametrize("step", list(EXPECTED))
+def test_output_unchanged(digests, step):
+    assert digests[step] == EXPECTED[step]

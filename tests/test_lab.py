@@ -282,8 +282,11 @@ class TestQuerySmoke:
         assert query_unitary_smoke(3, 1).ok
 
     def test_domain_cap(self):
-        with pytest.raises(ValueError):
-            query_unitary_smoke(4, 4)
+        # (4, 3) passes a domain_size * l <= 12 guard, yet its dense
+        # operator would need about 829 GiB
+        for l, domain_size in ((4, 4), (4, 3)):
+            with pytest.raises(ValueError):
+                query_unitary_smoke(l, domain_size)
 
 
 class TestTensorStateInvariants:

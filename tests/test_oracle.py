@@ -7,6 +7,7 @@ from fischlin.oracle import (
     OracleTranscript,
     RecordingOracle,
     ReprogramConflict,
+    ReprogramTable,
     decode_input,
     derive_seed,
     encode_input,
@@ -228,6 +229,8 @@ class TestTranscriptSerialization:
         [rec] = oracle.table.to_json()
         assert bytes.fromhex(rec["key"]) == oracle.encode(inp)
         assert rec["y"] == 0
+        back = ReprogramTable.from_json(PARAMS, oracle.table.to_json())
+        assert back.overrides == oracle.table.overrides
 
     def test_derive_seed_forms(self):
         assert len(derive_seed(7)) == 32

@@ -23,7 +23,7 @@ from fischlin.transform import (
 class TestParams:
     def test_legacy_derivation(self):
         p = FischlinParams.from_security(48, 6)
-        assert (p.k, p.l, p.t_legacy) == (8, 6, 36)
+        assert (p.k, p.l) == (8, 6)
         assert p.N == p.T == 37
 
     def test_legacy_requires_divisibility(self):
@@ -33,7 +33,6 @@ class TestParams:
     def test_explicit_rate(self):
         p = FischlinParams.explicit(8, 6, 4)
         assert p.N == p.T == 768  # 4 * 64 * log2(8)
-        assert p.t_legacy == 36   # ceil(log2(48)) * 6
 
     def test_explicit_rate_large(self):
         p = FischlinParams.explicit(2 ** 30, 14, 1)
