@@ -4,9 +4,10 @@ Subcommands: keygen, prove, verify, extract, simulate, bounds, plan, lab.
 Every command prints machine-readable JSON on stdout (CSV for grid
 sweeps), writes human diagnostics to stderr, and exits 0 on
 success/accept, 1 on reject/not-found/abort, 2 on usage errors and on
-malformed input files (proofs, transcripts, reprogram tables). All
-randomness is derived from --seed (or FISCHLIN_SEED, or the config file),
-so runs are byte-for-byte reproducible.
+malformed input files (proofs, transcripts, reprogram tables, instance,
+witness and config files). All randomness is derived from --seed (or
+FISCHLIN_SEED, or the config file), so runs are byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -32,11 +33,32 @@ from .sigma import GroupParams, SigmaInstance, SigmaWitness, keygen, \
 from .simulator import simulate
 
 
+def _load_object(path: str, what: str) -> dict:
+    """The JSON object held in a file; ValueError for any other shape."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} file must hold a JSON object")
+    return obj
+
+
+def _int_field(obj: dict, name: str) -> int:
+    """``int(obj[name])``; ValueError when the value is null, a list or an object."""
+    try:
+        return int(obj[name])
+    except TypeError:
+        raise ValueError(f"{name!r} must be an integer or a decimal string") from None
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    config = _load_object(path, "config")
+    params = config.get("params", {})
+    if not isinstance(params, dict) or not all(
+            v is None or isinstance(v, (int, float, str)) for v in params.values()):
+        raise ValueError("config 'params' must map names to numbers")
+    return config
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -45,13 +67,13 @@ def _resolve_seed(args, config: dict) -> int:
     env = os.environ.get("FISCHLIN_SEED")
     if env is not None:
         return int(env, 0)
-    return int(config.get("seed", 0))
+    return _int_field(config, "seed") if "seed" in config else 0
 
 
 def _oracle_seed(config: dict, seed: int) -> bytes:
     hexseed = config.get("oracle_seed")
     if hexseed is not None:
-        raw = bytes.fromhex(hexseed)
+        raw = bytes.fromhex(hexseed) if isinstance(hexseed, str) else b""
         if len(raw) != 32:
             raise ValueError("oracle_seed must be exactly 32 bytes of hex")
         return raw
@@ -88,9 +110,8 @@ def _params_from(args, config: dict) -> transform.FischlinParams:
 
 
 def _load_instance(path: str) -> SigmaInstance:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return SigmaInstance(GroupParams.from_config(obj), int(obj["x"]))
+    obj = _load_object(path, "instance")
+    return SigmaInstance(GroupParams.from_config(obj), _int_field(obj, "x"))
 
 
 def _emit(args, obj):
@@ -118,8 +139,7 @@ def cmd_keygen(args) -> int:
 def cmd_prove(args) -> int:
     config = _load_config(args.config)
     instance = _load_instance(args.instance)
-    with open(args.witness) as fh:
-        witness = SigmaWitness(int(json.load(fh)["w"]))
+    witness = SigmaWitness(_int_field(_load_object(args.witness, "witness"), "w"))
     params = _params_from(args, config)
     protocol = protocol_for_challenge_space(instance.group, params.N)
     seed = _resolve_seed(args, config)

@@ -87,7 +87,9 @@ def extract(params, protocol, instance, proof, transcript) -> ExtractionOutcome:
     """
     valid = [e for e in transcript.entries
              if protocol.verify(instance, e.inp.a_vec[e.inp.i - 1], e.inp.c, e.inp.z)]
-    valid.sort(key=lambda e: e.key)
+    # The prefix encoding is prefix-free, so (prefix, tail) sorts as the
+    # concatenated key does.
+    valid.sort(key=lambda e: (e.prefix, e.tail))
     prefixed = [e for e in valid if e.inp.a_vec == proof.a_vec]
     outcome = _scan(protocol, instance, prefixed)
     if outcome.status is not Status.NO_PAIR_FOUND:

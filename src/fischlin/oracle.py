@@ -7,6 +7,15 @@ The ordered log is the classical analogue of a recorded oracle database and
 is what the straight-line extractor inspects. A reprogram table lets a
 simulator override fresh points; overriding a point that was already
 queried is a conflict, never a silent overwrite.
+
+The encoding is a commitment-vector prefix (k commitments, shared by every
+query of one proof) followed by a short tail (i, c, z). The oracle encodes
+each distinct prefix once and keeps the SHA-256 state after absorbing
+``seed || prefix``; a query encodes only its tail and hashes it from a copy
+of that midstate. Transcript entries and the transcript index hold the
+shared prefix object and the tail, so a query costs the same time and
+memory whatever k is. The full key ``prefix || tail`` is built only for
+reprogram-table lookups, whose JSON keeps the full bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ class ReprogramConflict(Exception):
     """Attempt to program a point that is already fixed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleInput:
     """One structured oracle query: commitment vector, repetition index
     (1-based), challenge, and response."""
@@ -47,11 +56,20 @@ class OracleInput:
     z: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
-    key: bytes
+    """A recorded query: its encoding as the shared commitment-vector
+    prefix and its own tail, the structured input and the answer."""
+
+    prefix: bytes
+    tail: bytes
     inp: OracleInput
     y: int
+
+    @property
+    def key(self) -> bytes:
+        """The canonical encoding ``encode_input(inp)``."""
+        return self.prefix + self.tail
 
 
 def _encode_prefix(params, protocol, a_vec) -> bytes:
@@ -88,35 +106,41 @@ def encode_input(params, protocol, inp: OracleInput) -> bytes:
 
 
 def decode_input(params, protocol, data: bytes) -> OracleInput:
+    """Inverse of ``encode_input``; raises ValueError on a malformed or
+    truncated key."""
     if data[:4] != _TAG:
         raise ValueError("bad tag")
     off = 4
-    k, l = struct.unpack_from(">II", data, off)
-    off += 8
-    if (k, l) != (params.k, params.l):
+
+    def take(count):
+        nonlocal off
+        if off + count > len(data):
+            raise ValueError("truncated key")
+        piece = data[off:off + count]
+        off += count
+        return piece
+
+    if struct.unpack(">II", take(8)) != (params.k, params.l):
         raise ValueError("parameter mismatch")
-    a_vec = []
-    for _ in range(k):
-        n = int.from_bytes(data[off:off + 2], "big")
-        off += 2
-        a_vec.append(protocol.decode_commitment(data[off:off + n]))
-        off += n
-    i, c = struct.unpack_from(">II", data, off)
-    off += 8
-    n = int.from_bytes(data[off:off + 2], "big")
-    off += 2
-    z = protocol.decode_response(data[off:off + n])
-    if off + n != len(data):
+    a_vec = tuple(protocol.decode_commitment(take(int.from_bytes(take(2), "big")))
+                  for _ in range(params.k))
+    i, c = struct.unpack(">II", take(8))
+    z = protocol.decode_response(take(int.from_bytes(take(2), "big")))
+    if off != len(data):
         raise ValueError("trailing bytes")
-    return OracleInput(tuple(a_vec), i, c, z)
+    return OracleInput(a_vec, i, c, z)
+
+
+def _truncate(digest: bytes, out_bits: int) -> int:
+    """First ``out_bits`` bits (big-endian bit order) of a digest."""
+    return int.from_bytes(digest[:8], "big") >> (64 - out_bits)
 
 
 def ro_eval(seed: bytes, payload: bytes, out_bits: int) -> int:
     """First ``out_bits`` bits (big-endian bit order) of SHA-256(seed || payload)."""
     if not 1 <= out_bits <= 64:
         raise ValueError("output width must be in [1, 64]")
-    digest = hashlib.sha256(seed + payload).digest()
-    return int.from_bytes(digest[:8], "big") >> (64 - out_bits)
+    return _truncate(hashlib.sha256(seed + payload).digest(), out_bits)
 
 
 def derive_seed(material) -> bytes:
@@ -132,7 +156,8 @@ def derive_seed(material) -> bytes:
 
 @dataclass
 class OracleTranscript:
-    """Ordered log of distinct queries; repeats return the first answer."""
+    """Ordered log of distinct queries; repeats return the first answer.
+    ``index`` maps (prefix, tail) of each recorded query to its answer."""
 
     entries: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
@@ -140,9 +165,9 @@ class OracleTranscript:
     def __len__(self):
         return len(self.entries)
 
-    def record(self, key: bytes, inp: OracleInput, y: int):
-        self.entries.append(TranscriptEntry(key, inp, y))
-        self.index[key] = y
+    def record(self, prefix: bytes, tail: bytes, inp: OracleInput, y: int):
+        self.entries.append(TranscriptEntry(prefix, tail, inp, y))
+        self.index[(prefix, tail)] = y
 
     def to_jsonl(self, protocol) -> str:
         return "".join(json.dumps({
@@ -155,8 +180,10 @@ class OracleTranscript:
 
     @classmethod
     def from_jsonl(cls, params, protocol, text: str) -> "OracleTranscript":
-        """Inverse of ``to_jsonl``; raises ValueError naming a malformed line."""
+        """Inverse of ``to_jsonl``; raises ValueError naming a malformed line.
+        Each distinct commitment vector is decoded and encoded once."""
         ts = cls()
+        vectors: dict[tuple, tuple] = {}  # hex strings -> (a_vec, prefix)
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -165,13 +192,16 @@ class OracleTranscript:
                 i, c, y = rec["i"], rec["c"], rec["y"]
                 if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
                     raise ValueError("i, c and y must be integers, y in [0, 2^l)")
-                inp = OracleInput(
-                    tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in rec["a"]),
-                    i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
-                key = encode_input(params, protocol, inp)
+                hexes = tuple(rec["a"])
+                vec = vectors.get(hexes)
+                if vec is None:
+                    a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
+                    vec = vectors[hexes] = (a_vec, _encode_prefix(params, protocol, a_vec))
+                inp = OracleInput(vec[0], i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
+                tail = _encode_tail(params, protocol, i, c, inp.z)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"transcript line {n}: {exc!r}") from None
-            ts.record(key, inp, y)
+            ts.record(vec[1], tail, inp, y)
         return ts
 
 
@@ -227,38 +257,60 @@ class RecordingOracle:
         self.transcript = transcript if transcript is not None else OracleTranscript()
         self.table = table if table is not None else ReprogramTable()
         self.programmer = None
-        self._avec_cache: dict[tuple, bytes] = {}
+        # a_vec -> (prefix, SHA-256 state after seed || prefix); the last
+        # vector asked for is checked by identity before the dict.
+        self._contexts: dict[tuple, tuple] = {}
+        self._last = (object(), None)
+
+    def _split(self, inp: OracleInput) -> tuple:
+        """(prefix, midstate, tail) of a query; only the tail is encoded
+        per query."""
+        a_vec = inp.a_vec
+        last_vec, ctx = self._last
+        if a_vec is not last_vec:
+            ctx = self._contexts.get(a_vec)
+            if ctx is None:
+                prefix = _encode_prefix(self.params, self.protocol, a_vec)
+                ctx = self._contexts[a_vec] = (prefix, hashlib.sha256(self.seed + prefix))
+            self._last = (a_vec, ctx)
+        prefix, mid = ctx
+        return prefix, mid, _encode_tail(self.params, self.protocol, inp.i, inp.c, inp.z)
 
     def encode(self, inp: OracleInput) -> bytes:
         """``encode_input`` with the commitment-vector prefix cached."""
-        prefix = self._avec_cache.get(inp.a_vec)
-        if prefix is None:
-            prefix = _encode_prefix(self.params, self.protocol, inp.a_vec)
-            self._avec_cache[inp.a_vec] = prefix
-        return prefix + _encode_tail(self.params, self.protocol, inp.i, inp.c, inp.z)
+        prefix, _, tail = self._split(inp)
+        return prefix + tail
 
     def query(self, inp: OracleInput) -> int:
-        key = self.encode(inp)
-        prev = self.transcript.index.get(key)
+        prefix, mid, tail = self._split(inp)
+        transcript = self.transcript
+        prev = transcript.index.get((prefix, tail))
         if prev is not None:
             return prev
-        y = self.table.overrides.get(key)
-        if y is None and self.programmer is not None:
-            y = self.programmer(inp)
-            if y is not None:
-                self.table.overrides[key] = y
+        y = None
+        overrides = self.table.overrides
+        if overrides or self.programmer is not None:
+            key = prefix + tail
+            y = overrides.get(key)
+            if y is None and self.programmer is not None:
+                y = self.programmer(inp)
+                if y is not None:
+                    overrides[key] = y
         if y is None:
-            y = ro_eval(self.seed, key, self.params.l)
-        self.transcript.record(key, inp, y)
+            h = mid.copy()
+            h.update(tail)
+            y = _truncate(h.digest(), self.params.l)
+        transcript.record(prefix, tail, inp, y)
         return y
 
     def reprogram(self, inp: OracleInput, value: int):
         """Install an override; fails if the point is already fixed."""
         if not 0 <= value < 1 << self.params.l:
             raise ValueError("programmed value out of range")
-        key = self.encode(inp)
-        if key in self.transcript.index:
+        prefix, _, tail = self._split(inp)
+        if (prefix, tail) in self.transcript.index:
             raise ReprogramConflict("point already queried")
+        key = prefix + tail
         old = self.table.overrides.get(key)
         if old is not None and old != value:
             raise ReprogramConflict("point already programmed differently")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice, product
 
 __all__ = [
     "GroupParams",
@@ -93,8 +94,12 @@ class GroupParams:
 
     @classmethod
     def from_config(cls, obj: dict) -> "GroupParams":
-        """Config fields p, q, g are decimal strings (or ints)."""
-        return cls(int(obj["p"]), int(obj["q"]), int(obj["g"]))
+        """Config fields p, q, g are decimal strings (or ints); any other
+        shape raises ValueError (KeyError for a missing field)."""
+        try:
+            return cls(int(obj["p"]), int(obj["q"]), int(obj["g"]))
+        except TypeError:
+            raise ValueError("group fields p, q and g must be integers") from None
 
     @classmethod
     def load(cls, path: str) -> "GroupParams":
@@ -164,6 +169,15 @@ class Schnorr:
         if not 0 <= c < self.challenge_space:
             raise ValueError("challenge out of range")
         return (state.r + c * witness.w) % self.group.q
+
+    def responses(self, state: CommitState, witness: SigmaWitness):
+        """``respond(state, witness, c)`` for c = 0, 1, ... in turn, each
+        one step z += w mod q from the last."""
+        q, w = self.group.q, witness.w
+        z = state.r % q
+        for _ in range(self.challenge_space):
+            yield z
+            z = (z + w) % q
 
     def verify(self, instance: SigmaInstance, a: int, c: int, z: int) -> bool:
         """Accept iff g^z = a * x^c mod p. Malformed values reject."""
@@ -277,6 +291,14 @@ class RepeatedSigma:
         ds = _digits(c, self.base.challenge_space, self.copies)
         return tuple(self.base.respond(st, witness, d)
                      for st, d in zip(state.r, ds))
+
+    def responses(self, state, witness):
+        """``respond(state, witness, c)`` for c = 0, 1, ... in turn: the
+        product of the base walks runs through the digit vectors most
+        significant first, which is increasing c."""
+        n = self.challenge_space
+        walks = (islice(self.base.responses(st, witness), n) for st in state.r)
+        return islice(product(*walks), n)
 
     def verify(self, instance, a, c, z):
         if not 0 <= c < self.challenge_space:

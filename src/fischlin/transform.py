@@ -99,15 +99,15 @@ class Proof:
 def prove(params: FischlinParams, protocol, instance, witness, oracle, rng) -> Proof:
     """Grind each repetition's challenge in increasing order from 0 until
     the oracle output is zero; raise Abort if some repetition exhausts its
-    T attempts. Commitments are never resampled after an abort."""
+    T attempts. Commitments are never resampled after an abort. Responses
+    come from the protocol's ``responses`` walk, one step per attempt."""
     k = params.k
     pairs = [protocol.commit(instance, rng) for _ in range(k)]
     a_vec = tuple(p[0] for p in pairs)
     c_vec, z_vec = [], []
     for i in range(1, k + 1):
-        state = pairs[i - 1][1]
-        for c in range(params.T):
-            z = protocol.respond(state, witness, c)
+        walk = protocol.responses(pairs[i - 1][1], witness)
+        for c, z in zip(range(params.T), walk):
             if oracle.query(OracleInput(a_vec, i, c, z)) == 0:
                 c_vec.append(c)
                 z_vec.append(z)

@@ -154,9 +154,11 @@ class TestProveVerifyPipeline:
                          "--instance", str(inst), "--proof", str(proof))
         assert code == 0
 
-    # Each case points one input file of verify (--proof, --table) or
-    # extract (--transcript) at a missing (None) or malformed file; a dict
-    # replaces fields of a recorded transcript line.
+    # Each case points one input file of verify (--proof, --table,
+    # --instance), extract (--transcript) or prove (--witness, --config) at
+    # a missing (None) or malformed file; a dict replaces fields of a
+    # recorded transcript line. The bad file is passed last, so it
+    # overrides the good one of the same flag.
     @pytest.mark.parametrize("flag,content", [
         ("--proof", None),
         ("--transcript", "null"),
@@ -169,9 +171,21 @@ class TestProveVerifyPipeline:
         ("--table", "[5]"),
         ("--table", '[{"key": "00", "y": 4}]'),
         ("--table", '[{"key": "00", "y": "0"}]'),
+        ("--instance", "null"),
+        ("--instance", '{"p": "1019", "q": "509", "g": "4", "x": null}'),
+        ("--instance", '{"p": [1019], "q": "509", "g": "4", "x": "80"}'),
+        ("--witness", '{"w": null}'),
+        ("--witness", "[7]"),
+        ("--config", "[1]"),
+        ("--config", '{"params": [1]}'),
+        ("--config", '{"seed": null}'),
+        ("--config", '{"oracle_seed": 5}'),
     ], ids=["proof-missing", "transcript-null", "transcript-list", "transcript-a-int",
             "transcript-i-str", "transcript-c-float", "transcript-y-range",
-            "table-null", "table-int-record", "table-y-range", "table-y-str"])
+            "table-null", "table-int-record", "table-y-range", "table-y-str",
+            "instance-null", "instance-x-null", "instance-p-list",
+            "witness-w-null", "witness-list", "config-list", "config-params-list",
+            "config-seed-null", "config-oracle-seed-int"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, keypair, flag, content):
         inst, wit = keypair
         proof, record = tmp_path / "proof.bin", tmp_path / "transcript.jsonl"
@@ -186,12 +200,16 @@ class TestProveVerifyPipeline:
             content = json.dumps(dict(rec, **content))
         if content is not None:
             bad.write_text(content + "\n")
-        files = {"--proof": proof, flag: bad}
-        command = "extract" if flag == "--transcript" else "verify"
-        argv = [command, "--instance", str(inst), "--seed", "5"]
-        for name, path in files.items():
-            argv += [name, str(path)]
-        code, _, err = run(capsys, *argv)
+        argv = {
+            "--transcript": ["extract", "--proof", str(proof), "--instance", str(inst)],
+            "--witness": ["prove", "--instance", str(inst), "--witness", str(wit),
+                          "--k", "2", "--l", "2", "--n", "16",
+                          "--out", str(tmp_path / "again.bin")],
+            "--config": ["prove", "--instance", str(inst), "--witness", str(wit),
+                         "--k", "2", "--l", "2", "--n", "16",
+                         "--out", str(tmp_path / "again.bin")],
+        }.get(flag, ["verify", "--proof", str(proof), "--instance", str(inst)])
+        code, _, err = run(capsys, *argv, flag, str(bad))
         assert code == 2 and "error" in err
 
     def test_usage_error_exits_2(self, capsys):

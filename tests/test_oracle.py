@@ -13,10 +13,12 @@ from fischlin.oracle import (
     encode_input,
     ro_eval,
 )
-from fischlin.sigma import Schnorr
+from fischlin.sigma import GroupParams, Schnorr
 from fischlin.transform import FischlinParams
 
 PARAMS = FischlinParams(k=2, l=4, N=16, T=16)
+KEY = encode_input(PARAMS, Schnorr(GroupParams(1019, 509, 4), 16),
+                   OracleInput((64, 80), 2, 5, 300))
 
 
 @pytest.fixture
@@ -62,6 +64,11 @@ class TestEncoding:
             inp = rand_input(rng)
             key = encode_input(PARAMS, proto, inp)
             assert seen.setdefault(key, inp) == inp
+
+    @pytest.mark.parametrize("cut", range(len(KEY)))
+    def test_truncated_key_rejected(self, proto, cut):
+        with pytest.raises(ValueError):
+            decode_input(PARAMS, proto, KEY[:cut])
 
     def test_wrong_vector_length(self, proto):
         with pytest.raises(ValueError):
@@ -172,6 +179,40 @@ class TestRecordingOracle:
         key = encode_input(PARAMS, proto, inp)
         assert oracle.query(inp) == ro_eval(derive_seed(21), key, PARAMS.l)
         assert oracle.encode(inp) == key
+
+    def test_equal_vector_answered_from_transcript(self, proto):
+        oracle = self.make(proto)
+        a = (64, 80)
+        y = oracle.query(OracleInput(a, 1, 3, 17))
+        b = tuple([64, 80])
+        assert b == a and b is not a
+        assert oracle.query(OracleInput(b, 1, 3, 17)) == y
+        assert len(oracle.transcript) == 1
+
+    def test_interleaved_vectors_match_pure_path(self, proto):
+        oracle = self.make(proto, seed=23)
+        rng = random.Random(8)
+        vecs = [rand_input(rng).a_vec for _ in range(2)]
+        for n in range(60):
+            inp = OracleInput(vecs[n % 2], rng.randrange(2) + 1, rng.randrange(16),
+                              rng.randrange(509))
+            assert oracle.query(inp) == ro_eval(
+                derive_seed(23), encode_input(PARAMS, proto, inp), PARAMS.l)
+
+    def test_reprogram_after_base_query_conflicts(self, proto):
+        oracle = self.make(proto)
+        oracle.query(OracleInput((64, 80), 1, 3, 17))
+        with pytest.raises(ReprogramConflict):
+            oracle.reprogram(OracleInput(tuple([64, 80]), 1, 3, 17), 0)
+
+    def test_table_hit_without_programmer(self, proto):
+        inp = OracleInput((64, 80), 1, 3, 17)
+        key = encode_input(PARAMS, proto, inp)
+        value = (ro_eval(derive_seed(11), key, PARAMS.l) + 1) % 16
+        oracle = self.make(proto, table=ReprogramTable({key: value}))
+        assert oracle.programmer is None
+        assert oracle.query(inp) == value
+        assert oracle.transcript.entries[0].key == key
 
     def test_seed_length_enforced(self, proto):
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from fischlin.sigma import (
+    CommitState,
     GroupParams,
     RepeatedSigma,
     Schnorr,
@@ -78,6 +81,31 @@ class TestRespond:
             toy_schnorr.respond(CommitState(3, 64), SigmaWitness(7), 509)
         with pytest.raises(ValueError):
             toy_schnorr.respond(CommitState(3, 64), SigmaWitness(7), -1)
+
+
+TOY = GroupParams(1019, 509, 4)
+
+
+class TestResponseWalk:
+    """``responses`` yields exactly ``respond`` for c = 0, 1, ... N - 1."""
+
+    @given(r=st.integers(0, 508), w=st.integers(1, 508), n=st.integers(2, 509))
+    def test_schnorr(self, r, w, n):
+        proto, state = Schnorr(TOY, n), CommitState(r, pow(4, r, 1019))
+        assert list(proto.responses(state, SigmaWitness(w))) == \
+            [proto.respond(state, SigmaWitness(w), c) for c in range(n)]
+
+    @given(rs=st.lists(st.integers(0, 508), min_size=3, max_size=3),
+           w=st.integers(1, 508), base=st.sampled_from([2, 3, 5, 7, 509]),
+           copies=st.sampled_from([2, 3]), data=st.data())
+    def test_repeated(self, rs, w, base, copies, data):
+        n = data.draw(st.integers(2, min(base ** copies, 3000)))
+        assume(all(n != base ** e for e in range(copies + 1)))
+        proto = RepeatedSigma(Schnorr(TOY, base), copies, n)
+        state = CommitState(tuple(CommitState(r, pow(4, r, 1019)) for r in rs[:copies]),
+                            None)
+        assert list(proto.responses(state, SigmaWitness(w))) == \
+            [proto.respond(state, SigmaWitness(w), c) for c in range(n)]
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fischlin import oracle as oracle_mod
 from fischlin.extractor import attempts_per_repetition
 from fischlin.oracle import RecordingOracle, derive_seed
 from fischlin.sigma import Schnorr, keygen, protocol_for_challenge_space
@@ -146,6 +147,21 @@ class TestProveVerify:
             for e in seen:
                 assert e.a_vec == proof.a_vec
                 assert proto.verify(inst, e.a_vec[i - 1], e.c, e.z)
+
+    def test_prefix_encoded_once_per_proof(self, toy_group, monkeypatch):
+        # the commitment vector is encoded once, however many queries and
+        # repetitions the prover makes, and every entry shares its bytes
+        calls = []
+        encode_prefix = oracle_mod._encode_prefix
+        monkeypatch.setattr(oracle_mod, "_encode_prefix",
+                            lambda *a: calls.append(a) or encode_prefix(*a))
+        params = FischlinParams.explicit(256, 4, 2)
+        proto, rng, inst, wit, oracle = make_run(toy_group, params, 12)
+        prove(params, proto, inst, wit, oracle, rng)
+        assert len(calls) == 1
+        first = oracle.transcript.entries[0].prefix
+        assert len(oracle.transcript) > 256
+        assert all(e.prefix is first for e in oracle.transcript.entries)
 
     def test_attempt_counts_match_challenges(self, toy_group):
         params = FischlinParams(k=4, l=2, N=32, T=32)
