@@ -106,11 +106,20 @@ def eval_mu_lower(k: int, l: int, N: int, gamma: float) -> float:
 
 
 def corollary_constraints(k: int, l: int, c_rate: float) -> dict:
-    """Validity region: l >= 14 and 2^(1/c) <= k <= 2^(2^l / (256 c))."""
+    """Validity region: l >= 14 and 2^(1/c) <= k <= 2^(2^l / (256 c)).
+
+    Raises ValueError unless c > 0 and k, 2^(l+2) and N = c 2^l log2 k are
+    below 2^1024, the range of the floats the chain computes in."""
+    if not c_rate > 0:
+        raise ValueError("c must be positive")
+    log_k = math.log2(k)
+    if log_k >= 1024 or l + 2 >= 1024 or \
+            log_k > 0 and l + math.log2(c_rate * log_k) >= 1024:
+        raise ValueError("k, 2^(l+2) and N = c * 2^l * log2 k must be below 2^1024")
     return {
         "l_ge_14": l >= 14,
-        "k_ge_lower": math.log2(k) >= 1.0 / c_rate,
-        "k_le_upper": math.log2(k) <= 2.0 ** l / (256.0 * c_rate),
+        "k_ge_lower": log_k >= 1.0 / c_rate,
+        "k_le_upper": log_k <= 2.0 ** l / (256.0 * c_rate),
     }
 
 
@@ -189,10 +198,11 @@ def eval_closed_form(k: int, l: int, c_rate: float, log: bool = False) -> float:
 
 def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
     """Evaluate the full extraction-error chain at (k, l, c, q)."""
-    if l < 1 or k < 2 or c_rate <= 0:
-        raise ValueError("need l >= 1, k >= 2, c > 0")
+    if l < 1 or k < 2:
+        raise ValueError("need l >= 1 and k >= 2")
     if q < 0:
         raise ValueError("q must be nonnegative")
+    constraints = corollary_constraints(k, l, c_rate)  # also checks c and float range
     warnings = []
     gamma = 4.0 * 2.0 ** -l
     n = round(c_rate * 2.0 ** l * math.log2(k))
@@ -259,7 +269,7 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
         eps_ex=_clamp(eps_ex_raw),
         applicable=applicable,
         vacuous=vacuous,
-        constraints_ok=corollary_constraints(k, l, c_rate),
+        constraints_ok=constraints,
         warnings=warnings,
     )
 

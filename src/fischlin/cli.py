@@ -5,9 +5,9 @@ Every command prints machine-readable JSON on stdout (CSV for grid
 sweeps), writes human diagnostics to stderr, and exits 0 on
 success/accept, 1 on reject/not-found/abort, 2 on usage errors and on
 malformed input files (proofs, transcripts, reprogram tables, instance,
-witness and config files). All randomness is derived from --seed (or
-FISCHLIN_SEED, or the config file), so runs are byte-for-byte
-reproducible.
+witness and config files) and on bound parameters out of range. All
+randomness is derived from --seed (or FISCHLIN_SEED, or the config file),
+so runs are byte-for-byte reproducible.
 """
 
 from __future__ import annotations

@@ -2,19 +2,20 @@
 
 A prover that grinds challenges leaves a trail: for each repetition the
 transcript holds every attempted (challenge, response) pair, all of them
-valid sigma transcripts for the same commitment. The extractor scans the
-log for two such entries sharing the commitment vector and repetition
-index but differing in challenge, and runs special-soundness extraction.
-No rewinding, no extra queries.
+valid sigma transcripts for the same commitment. The extractor sorts the
+log once and walks it for two valid entries sharing the commitment vector
+and repetition index but differing in challenge, then runs
+special-soundness extraction. No rewinding, no extra queries.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import groupby, islice
 
 from . import transform
-from .oracle import RecordingOracle
+from .oracle import RecordingOracle, _encode_prefix
 
 __all__ = [
     "Status",
@@ -48,61 +49,38 @@ class ExtractionOutcome:
         return out
 
 
-def _first_pair(entries):
-    """Lexicographically first pair (by encoded-input order) of distinct
-    entries sharing the repetition index. Entries must be pre-sorted."""
-    for j, u in enumerate(entries):
-        for v in entries[j + 1:]:
-            if u.inp.i == v.inp.i:
-                return u, v
-    return None
-
-
-def _scan(protocol, instance, entries):
-    """Resolve the outcome over a sorted list of sigma-valid entries."""
-    hit = _first_pair(entries)
-    if hit is None:
-        return ExtractionOutcome(Status.NO_PAIR_FOUND)
-    u, v = hit
-    if u.inp.c == v.inp.c:
-        return ExtractionOutcome(
-            Status.UNIQUE_RESPONSE_VIOLATION, pair=(u.inp, v.inp),
-            details=f"two valid responses for repetition {u.inp.i}, "
-                    f"challenge {u.inp.c}")
-    w = protocol.extract(instance, u.inp.a_vec[u.inp.i - 1],
-                         u.inp.c, u.inp.z, v.inp.c, v.inp.z)
-    return ExtractionOutcome(Status.EXTRACTED, witness=w, pair=(u.inp, v.inp))
-
-
 def extract(params, protocol, instance, proof, transcript) -> ExtractionOutcome:
-    """Search the transcript for a special-soundness pair.
+    """Search the transcript for a special-soundness pair in one sorted pass.
 
-    Entries are filtered to sigma-valid ones prefixed by the proof's
-    commitment vector, grouped by repetition index, and the pair that is
-    lexicographically first in the canonical input encoding wins. A pair
-    with equal challenges but distinct responses is surfaced as a
-    unique-response violation instead of being skipped. If the prefixed
-    scan finds nothing, a global scan over all recorded commitment vectors
-    is tried. The caller must have verified the proof already.
+    Entries are sorted once: those prefixed by the proof's commitment
+    vector first, then every other recorded vector, each in canonical
+    input-encoding order. The prefix encoding is prefix-free and every tail
+    starts with i, so the entries of one (vector, repetition) pair are
+    adjacent. Each such group is sigma-verified lazily, stopping at its
+    first two valid entries, and the first group that has two decides: the
+    pair that is lexicographically first in the encoding wins. A pair with
+    equal challenges but distinct responses is surfaced as a unique-response
+    violation instead of being skipped. The caller must have verified the
+    proof already.
     """
-    valid = [e for e in transcript.entries
-             if protocol.verify(instance, e.inp.a_vec[e.inp.i - 1], e.inp.c, e.inp.z)]
-    # The prefix encoding is prefix-free, so (prefix, tail) sorts as the
-    # concatenated key does.
-    valid.sort(key=lambda e: (e.prefix, e.tail))
-    prefixed = [e for e in valid if e.inp.a_vec == proof.a_vec]
-    outcome = _scan(protocol, instance, prefixed)
-    if outcome.status is not Status.NO_PAIR_FOUND:
-        return outcome
-    fallback = [e for e in valid if e.inp.a_vec != proof.a_vec]
-    by_avec: dict = {}
-    for e in fallback:
-        by_avec.setdefault(e.inp.a_vec, []).append(e)
-    for group in by_avec.values():
-        outcome = _scan(protocol, instance, group)
-        if outcome.status is not Status.NO_PAIR_FOUND:
-            return outcome
-    return ExtractionOutcome(Status.NO_PAIR_FOUND)
+    # equal prefixes mean equal vectors, and bytes compare faster than tuples
+    own = _encode_prefix(params, protocol, proof.a_vec)
+    ordered = sorted(transcript.entries, key=lambda e: (e.prefix != own, e.prefix, e.tail))
+    for _, group in groupby(ordered, key=lambda e: (e.prefix, e.inp.i)):
+        valid = (e.inp for e in group
+                 if protocol.verify(instance, e.inp.a_vec[e.inp.i - 1], e.inp.c, e.inp.z))
+        pair = list(islice(valid, 2))
+        if len(pair) == 2:
+            break
+    else:
+        return ExtractionOutcome(Status.NO_PAIR_FOUND)
+    u, v = pair
+    if u.c == v.c:
+        return ExtractionOutcome(
+            Status.UNIQUE_RESPONSE_VIOLATION, pair=(u, v),
+            details=f"two valid responses for repetition {u.i}, challenge {u.c}")
+    w = protocol.extract(instance, u.a_vec[u.i - 1], u.c, u.z, v.c, v.z)
+    return ExtractionOutcome(Status.EXTRACTED, witness=w, pair=(u, v))
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,19 @@ class OracleTranscript:
         self.index[(prefix, tail)] = y
 
     def to_jsonl(self, protocol) -> str:
+        """One JSON object per entry; each distinct commitment vector is
+        hex-encoded once."""
+        hexes: dict[bytes, list] = {}  # prefix -> commitment hex strings
+
+        def a_hex(e):
+            out = hexes.get(e.prefix)
+            if out is None:
+                out = hexes[e.prefix] = [protocol.encode_commitment(a).hex()
+                                         for a in e.inp.a_vec]
+            return out
+
         return "".join(json.dumps({
-            "a": [protocol.encode_commitment(a).hex() for a in e.inp.a_vec],
+            "a": a_hex(e),
             "i": e.inp.i,
             "c": e.inp.c,
             "z": protocol.encode_response(e.inp.z).hex(),

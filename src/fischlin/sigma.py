@@ -13,7 +13,6 @@ concrete instantiation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -100,11 +99,6 @@ class GroupParams:
             return cls(int(obj["p"]), int(obj["q"]), int(obj["g"]))
         except TypeError:
             raise ValueError("group fields p, q and g must be integers") from None
-
-    @classmethod
-    def load(cls, path: str) -> "GroupParams":
-        with open(path) as fh:
-            return cls.from_config(json.load(fh))
 
     def to_config(self) -> dict:
         return {"p": str(self.p), "q": str(self.q), "g": str(self.g)}

@@ -265,6 +265,17 @@ class TestBoundsPlanLab:
         assert code == 0
         assert out.splitlines()[0].startswith("k,")
 
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "k=2^1..2^3;l=14;c=0"],  # c = 0 reached the constraints first
+        ["--grid", "k=2^1100;l=14;c=1", "--all-points"],  # k beyond float range
+        ["--k", "4", "--l", "2000", "--c", "1"],  # 2^l beyond float range
+    ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow"])
+    def test_bounds_out_of_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_plan(self, capsys):
         code, out, _ = run(capsys, "plan", "--k", str(2 ** 30), "--c", "1",
                            "--base-n", "509")

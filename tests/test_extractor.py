@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fischlin.extractor import (
+    ExtractionOutcome,
     Status,
     attempts_per_repetition,
     extract,
@@ -10,7 +13,7 @@ from fischlin.extractor import (
 )
 from fischlin.oracle import OracleInput, OracleTranscript, RecordingOracle, \
     derive_seed, encode_input
-from fischlin.sigma import Schnorr, SigmaInstance, keygen, \
+from fischlin.sigma import GroupParams, Schnorr, SigmaInstance, SigmaWitness, keygen, \
     protocol_for_challenge_space
 from fischlin.transform import FischlinParams, Proof, prove
 
@@ -20,6 +23,119 @@ def transcript_of(params, proto, inputs, seed=1):
     for inp in inputs:
         oracle.query(inp)
     return oracle.transcript
+
+
+# Reference: the extractor as it was before the single sorted pass. It
+# verifies every entry, then searches the proof's vector pairwise and falls
+# back to every other vector in turn.
+
+def _first_pair(entries):
+    """Lexicographically first pair (by encoded-input order) of distinct
+    entries sharing the repetition index. Entries must be pre-sorted."""
+    for j, u in enumerate(entries):
+        for v in entries[j + 1:]:
+            if u.inp.i == v.inp.i:
+                return u, v
+    return None
+
+
+def _scan(protocol, instance, entries):
+    """Resolve the outcome over a sorted list of sigma-valid entries."""
+    hit = _first_pair(entries)
+    if hit is None:
+        return ExtractionOutcome(Status.NO_PAIR_FOUND)
+    u, v = hit
+    if u.inp.c == v.inp.c:
+        return ExtractionOutcome(
+            Status.UNIQUE_RESPONSE_VIOLATION, pair=(u.inp, v.inp),
+            details=f"two valid responses for repetition {u.inp.i}, "
+                    f"challenge {u.inp.c}")
+    w = protocol.extract(instance, u.inp.a_vec[u.inp.i - 1],
+                         u.inp.c, u.inp.z, v.inp.c, v.inp.z)
+    return ExtractionOutcome(Status.EXTRACTED, witness=w, pair=(u.inp, v.inp))
+
+
+def reference_extract(params, protocol, instance, proof, transcript):
+    valid = [e for e in transcript.entries
+             if protocol.verify(instance, e.inp.a_vec[e.inp.i - 1], e.inp.c, e.inp.z)]
+    valid.sort(key=lambda e: (e.prefix, e.tail))
+    prefixed = [e for e in valid if e.inp.a_vec == proof.a_vec]
+    outcome = _scan(protocol, instance, prefixed)
+    if outcome.status is not Status.NO_PAIR_FOUND:
+        return outcome
+    fallback = [e for e in valid if e.inp.a_vec != proof.a_vec]
+    by_avec: dict = {}
+    for e in fallback:
+        by_avec.setdefault(e.inp.a_vec, []).append(e)
+    for group in by_avec.values():
+        outcome = _scan(protocol, instance, group)
+        if outcome.status is not Status.NO_PAIR_FOUND:
+            return outcome
+    return ExtractionOutcome(Status.NO_PAIR_FOUND)
+
+
+class Lenient(Schnorr):
+    """Defective Schnorr that also accepts z + 1, so two distinct responses
+    can be valid for one challenge."""
+
+    def verify(self, instance, a, c, z):
+        return super().verify(instance, a, c, z) or \
+            super().verify(instance, a, c, (z - 1) % self.group.q)
+
+
+TOY = GroupParams(1019, 509, 4)
+# name -> (protocol, N); N = 600 exceeds the 509 base challenges, so the
+# two-copy RepeatedSigma is used
+PROTOCOLS = {
+    "schnorr-4": (Schnorr(TOY, 4), 4),
+    "schnorr-16": (Schnorr(TOY, 16), 16),
+    "repeated-600": (protocol_for_challenge_space(TOY, 600), 600),
+    "lenient-4": (Lenient(TOY, 4), 4),
+}
+
+
+def _shift(z, by):
+    """The response with its first coordinate moved by ``by`` mod q."""
+    if isinstance(z, tuple):
+        return ((z[0] + by) % TOY.q,) + z[1:]
+    return (z + by) % TOY.q
+
+
+@st.composite
+def scenarios(draw):
+    """(params, protocol, instance, proof, transcript) over 1-3 commitment
+    vectors.
+
+    Each query is valid, invalid (z + 2), or shifted (z + 1: invalid for an
+    honest protocol, valid for ``Lenient``), so one challenge can carry
+    distinct responses. The proof's vector is one of the recorded vectors
+    or a fresh one with no entries.
+    """
+    proto, n = PROTOCOLS[draw(st.sampled_from(sorted(PROTOCOLS)))]
+    k = draw(st.integers(1, 3))
+    vectors = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    params = FischlinParams(k=k, l=2, N=n, T=n)
+    inst, wit = SigmaInstance(TOY, 80), SigmaWitness(7)
+    commits = [[proto.commit(inst, rng) for _ in range(k)] for _ in range(vectors + 1)]
+    a_vecs = [tuple(a for a, _ in vec) for vec in commits]
+    queries = draw(st.lists(st.tuples(
+        st.integers(0, vectors - 1), st.integers(1, k),
+        st.integers(0, n - 1), st.sampled_from([0, 0, 1, 2])), max_size=24))
+    inputs = []
+    for v, i, c, shift in queries:
+        z = proto.respond(commits[v][i - 1][1], wit, c)
+        inputs.append(OracleInput(a_vecs[v], i, c, _shift(z, shift)))
+    own = a_vecs[draw(st.integers(0, vectors))]
+    proof = Proof(own, (0,) * k, (0,) * k)
+    return params, proto, inst, proof, transcript_of(params, proto, inputs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # Lenient pairs can fail special soundness
+        return repr(exc)
 
 
 class TestExtract:
@@ -129,6 +245,31 @@ class TestExtract:
         ])
         out = extract(params, proto, inst, Proof((64,), (2,), (17,)), ts)
         assert out.to_json() == {"status": "Extracted", "w": "7"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(scenarios())
+    def test_matches_reference(self, scenario):
+        assert _outcome(extract, *scenario) == _outcome(reference_extract, *scenario)
+
+    def test_verifies_lazily(self, toy_group):
+        # one call per repetition before the first with two attempts, two for
+        # that pair and two inside protocol.extract: at most k + 3, where
+        # verifying every entry would cost about k * 2^l
+        params = FischlinParams(k=16, l=6, N=509, T=509)  # all of Schnorr's challenges
+        proto = protocol_for_challenge_space(toy_group, params.N)
+        assert type(proto) is Schnorr
+        rng = random.Random(3)
+        inst, wit = keygen(toy_group, rng)
+        oracle = RecordingOracle(params, proto, derive_seed(3))
+        proof = prove(params, proto, inst, wit, oracle, rng)
+        calls = []
+        plain = proto.verify
+        proto.verify = lambda *a: calls.append(a) or plain(*a)
+        out = extract(params, proto, inst, proof, oracle.transcript)
+        assert out.status is Status.EXTRACTED and out.witness == wit
+        attempts = attempts_per_repetition(proof, oracle.transcript)
+        first = next(j for j, n in enumerate(attempts) if n >= 2)
+        assert len(calls) == first + 4 <= params.k + 3
 
 
 class TestOnlineExperiment:

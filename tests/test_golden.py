@@ -5,8 +5,9 @@ paths so that stdout does not depend on where the directory lives. Its
 digest is SHA-256 over the exit code, stdout and the bytes of every file
 the step writes. The pinned digests are those of the code before the wire
 formats (query encoding, proof header, truncated hash, reprogram-table
-JSON, bound-report keys) were folded into one definition each; a change
-here means some output byte changed.
+JSON, bound-report keys) were folded into one definition each, and for
+the two no-pair steps those of the extractor before its single sorted
+pass; a change here means some output byte changed.
 """
 
 import contextlib
@@ -35,6 +36,11 @@ STEPS = [
                       "--record", "pr.jsonl"], ["pr.bin", "pr.jsonl"]),
     ("verify", ["verify", *KEYS, "--proof", "pc.bin", "--seed", "3"], []),
     ("extract", ["extract", *KEYS, "--proof", "pr.bin", "--transcript", "pr.jsonl"], []),
+    # the verifier's own queries: one entry per repetition, so no pair
+    ("verify-record", ["verify", *KEYS, "--proof", "pr.bin", "--seed", "2",
+                       "--record", "v.jsonl"], ["v.jsonl"]),
+    ("extract-no-pair", ["extract", *KEYS, "--proof", "pr.bin", "--transcript", "v.jsonl"],
+     []),
     ("simulate", ["simulate", *KEYS, "--k", "4", "--l", "3", "--n", "40", "--seed", "4",
                   "--out", "sim.bin", "--table-out", "table.json"],
      ["sim.bin", "table.json"]),
@@ -66,6 +72,8 @@ EXPECTED = {
     "prove-record": "d19746fdc25b51d905d28f6052d49bc252a3fd61987b699948064ff9f592c2ca",
     "verify": "f67e83f458b50bafe7ebcc52c6e223b37d6933bbb7187e4840152950aea04ac5",
     "extract": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
+    "verify-record": "47e2b5e31c19ce6d12948bb4eb6d34023adae6ea3b66471536cdfc797544757e",
+    "extract-no-pair": "4c7104c435b5ae045823f94cb1abab7c5b48b23aa564b247b9c0037b58980354",
     "simulate": "6ccf677817e4d5e6a0343135113e142230c333d7d011b0045c6f6d29457044cc",
     "verify-table": "ab815af76207a7e32269b55e21a6fd8aa4fccb606b119e51df21ed92af543f47",
     "bounds-point": "8a7e39d33dbb2816aba111968183056a0b0f55210fece39f4b1db39ccea89140",
