@@ -202,6 +202,10 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
         raise ValueError("need l >= 1 and k >= 2")
     if q < 0:
         raise ValueError("q must be nonnegative")
+    # lift_to_general turns (q + k)^2 into a float; just below 2^512 that
+    # square rounds past the float range, but log2 rounds up to 512 there
+    if math.log2(q + k) >= 512:
+        raise ValueError("q + k must be below 2^512")
     constraints = corollary_constraints(k, l, c_rate)  # also checks c and float range
     warnings = []
     gamma = 4.0 * 2.0 ** -l

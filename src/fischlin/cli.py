@@ -33,10 +33,18 @@ from .sigma import GroupParams, SigmaInstance, SigmaWitness, keygen, \
 from .simulator import simulate
 
 
+def _load_json(path: str, what: str):
+    """The JSON value held in a file; ValueError if it nests too deeply."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} file nests too deeply") from None
+
+
 def _load_object(path: str, what: str) -> dict:
     """The JSON object held in a file; ValueError for any other shape."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json(path, what)
     if not isinstance(obj, dict):
         raise ValueError(f"{what} file must hold a JSON object")
     return obj
@@ -177,8 +185,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args, config)
     table = None
     if args.table:
-        with open(args.table) as fh:
-            table = ReprogramTable.from_json(params, json.load(fh))
+        table = ReprogramTable.from_json(params, _load_json(args.table, "table"))
     oracle = RecordingOracle(params, protocol, _oracle_seed(config, seed),
                              table=table)
     ok = transform.verify(params, protocol, instance, proof, oracle)
@@ -221,9 +228,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_exponent(e: int) -> int:
+    """A grid exponent, rejected before any power is taken unless |e| < 1024."""
+    if abs(e) >= 1024:
+        raise ValueError(f"grid exponent {e} out of range: need |E| < 1024")
+    return e
+
+
 def _parse_grid(spec: str) -> dict:
     """Grid spec: semicolon-separated name=values with comma lists; values
-    may use 2^E, and k accepts 2^A..2^B for the powers of two between."""
+    may use B^E, and k accepts 2^A..2^B for the powers of two between.
+    Every exponent must be below 1024 in magnitude."""
     out = {}
     for part in spec.replace(" ", ";").split(";"):
         if not part:
@@ -235,10 +250,10 @@ def _parse_grid(spec: str) -> dict:
                 lo, hi = v.split("..")
                 elo = int(lo.split("^")[1]) if "^" in lo else int(math.log2(int(lo)))
                 ehi = int(hi.split("^")[1]) if "^" in hi else int(math.log2(int(hi)))
-                items.extend(2 ** e for e in range(elo, ehi + 1))
+                items.extend(2 ** e for e in range(_grid_exponent(elo), _grid_exponent(ehi) + 1))
             elif "^" in v:
                 base, exp = v.split("^")
-                items.append(int(base) ** int(exp))
+                items.append(int(base) ** _grid_exponent(int(exp)))
             else:
                 items.append(float(v) if "." in v else int(v))
         out[name.strip()] = items

@@ -140,6 +140,29 @@ def _hadamard_basis(d: int) -> np.ndarray:
     return h / math.sqrt(d)
 
 
+def _apply(op: np.ndarray, amps: np.ndarray, *axes: int) -> np.ndarray:
+    """Apply a local operator to the given axes of a tensor: move them to
+    the front, do one matmul, move them back."""
+    front = tuple(range(len(axes)))
+    moved = np.moveaxis(amps, axes, front)
+    out = op @ moved.reshape(op.shape[1], -1)
+    return np.moveaxis(out.reshape(moved.shape), front, axes)
+
+
+def _to_pattern_basis(amps: np.ndarray, m: int) -> np.ndarray:
+    """Change the first m axes to the pattern basis, or back: an involution."""
+    basis = _hadamard_basis(amps.shape[0])
+    for ax in range(m):
+        amps = _apply(basis, amps, ax)
+    return amps
+
+
+def _w_mask(d: int, m: int, n: int) -> np.ndarray:
+    """Pattern-basis index tuples spanning W(n, m): at least n of the m
+    indices are 0, the uniform superposition."""
+    return (np.indices((d,) * m) == 0).sum(axis=0) >= n
+
+
 def build_symmetric_state(m: int, n: int, l: int, rng,
                           symmetrize: bool = True) -> TensorState:
     """Sample a random state of W(n, m) in the pattern-basis convention
@@ -156,16 +179,13 @@ def build_symmetric_state(m: int, n: int, l: int, rng,
     size = d ** m * (math.factorial(m) if symmetrize else 1)
     if size > AMPLITUDE_CAP:
         raise ValueError("state exceeds the amplitude cap")
-    coeff = np.zeros((d,) * m, dtype=complex)
-    for t in itertools.product(range(d), repeat=m):
-        if sum(1 for v in t if v == 0) >= n:
-            coeff[t] = rng.standard_normal() + 1j * rng.standard_normal()
+    mask = _w_mask(d, m, n)
+    coeff = np.zeros(mask.shape, dtype=complex)
+    # one normal pair (real, imaginary) per member index, in C order
+    coeff[mask] = rng.standard_normal(2 * int(mask.sum())).view(complex)
     if not np.any(coeff):
         coeff[(0,) * m] = 1.0
-    basis = _hadamard_basis(d)
-    amps = coeff
-    for ax in range(m):
-        amps = np.moveaxis(np.tensordot(basis, amps, axes=(1, ax)), 0, ax)
+    amps = _to_pattern_basis(coeff, m)
     amps = amps / np.linalg.norm(amps)
     if not symmetrize:
         return TensorState(m, l, amps, env_axes=0, n=n)
@@ -184,16 +204,9 @@ def permute_registers(state: TensorState, perm) -> TensorState:
 
 def subspace_defect(state: TensorState, n: int) -> float:
     """Distance between the state and its projection onto W(n, m),
-    computed by pattern-basis enumeration. Zero for members."""
-    d = state.register_dim
-    basis = _hadamard_basis(d)
-    amps = state.amps
-    for ax in range(state.m):
-        amps = np.moveaxis(np.tensordot(basis, amps, axes=(1, ax)), 0, ax)
-    mask = np.zeros((d,) * state.m, dtype=bool)
-    for t in itertools.product(range(d), repeat=state.m):
-        if sum(1 for v in t if v == 0) >= n:
-            mask[t] = True
+    computed in the pattern basis. Zero for members."""
+    amps = _to_pattern_basis(state.amps, state.m)
+    mask = _w_mask(state.register_dim, state.m, n)
     shape = mask.shape + (1,) * state.env_axes
     projected = amps * mask.reshape(shape)
     return float(np.linalg.norm(amps - projected))
@@ -331,16 +344,6 @@ def chernoff_mc(n: int, p: float, delta: float, trials: int, rng) -> ChernoffRep
     return ChernoffReport(mu, upper_emp, ub, lower_emp, lb, su, sl)
 
 
-def _two_axis_apply(op: np.ndarray, state: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
-    """Apply a (d1*d2 x d1*d2) operator to axes (ax1, ax2) of a tensor."""
-    d1, d2 = state.shape[ax1], state.shape[ax2]
-    moved = np.moveaxis(state, (ax1, ax2), (0, 1))
-    rest = moved.shape[2:]
-    flat = moved.reshape(d1 * d2, -1)
-    out = (op @ flat).reshape((d1, d2) + rest)
-    return np.moveaxis(out, (0, 1), (ax1, ax2))
-
-
 def _query_op(l: int) -> np.ndarray:
     """Single-point compressed query on the output register and one
     database register: Comp, controlled XOR, Comp."""
@@ -390,50 +393,44 @@ def query_unitary_smoke(l: int, domain_size: int) -> SmokeReport:
     d = 1 << l
     dd = d + 1
     bot = d
-    # the dense operator below has side domain_size * dim_rest
+    # the cap is on O's dense size, though only its diagonal blocks are built
     dim_rest = d * dd ** domain_size
     if domain_size < 1 or (domain_size * dim_rest) ** 2 > AMPLITUDE_CAP:
         raise ValueError("need domain_size >= 1 and a dense operator within AMPLITUDE_CAP")
     op = _query_op(l)
 
-    # O = sum_x |x><x| (x) O^x is block diagonal over the input register;
-    # each block applies the two-register op to axes (Y, D_x).
-    full = np.zeros((domain_size * dim_rest,) * 2, dtype=complex)
+    # O = sum_x |x><x| (x) O^x is block diagonal over the input register, so
+    # it is unitary iff each block, the two-register op on axes (Y, D_x), is
+    eye = np.eye(dim_rest, dtype=complex)
+    cols = eye.reshape((d,) + (dd,) * domain_size + (dim_rest,))
+    unitary_defect = 0.0
     for x in range(domain_size):
-        cols = np.eye(dim_rest, dtype=complex).reshape(
-            (d,) + (dd,) * domain_size + (dim_rest,))
-        cols = _two_axis_apply(op, cols, 0, 1 + x)
-        block = cols.reshape(dim_rest, dim_rest)
-        full[x * dim_rest:(x + 1) * dim_rest, x * dim_rest:(x + 1) * dim_rest] = block
-    unitary_defect = float(np.abs(full.conj().T @ full
-                                  - np.eye(full.shape[0])).max())
+        block = _apply(op, cols, 0, 1 + x).reshape(dim_rest, dim_rest)
+        unitary_defect = max(unitary_defect, float(np.abs(block.conj().T @ block - eye).max()))
 
     # compressing the uniform superposition over function tables must give
     # the trivial all-marker database: that is the zero-query state
     empty = product_state(domain_size, plus_state(l, with_bot=True))
     comp = comp_matrix(l)
     for ax in range(domain_size):
-        empty = np.moveaxis(np.tensordot(comp, empty, axes=(1, ax)), 0, ax)
+        empty = _apply(comp, empty, ax)
     empty_db_mass = float(np.abs(empty[(bot,) * domain_size]) ** 2)
 
     state = np.zeros((d,) + (dd,) * domain_size, dtype=complex)
     state[(0,) + (bot,) * domain_size] = 1.0
-    state = _two_axis_apply(op, state, 0, 1)
+    state = _apply(op, state, 0, 1)
     y_marg = np.abs(state.reshape(d, -1)) ** 2
     y_marg = y_marg.sum(axis=1)
     y_uniform_dev = float(np.abs(y_marg - 1.0 / d).max())
 
     probs = np.abs(state) ** 2
-    excess = 0.0
-    for idx in np.ndindex(*probs.shape):
-        if sum(1 for v in idx[1:] if v != bot) > 1:
-            excess += probs[idx]
-    db_size_excess_mass = float(excess)
+    db_size = (np.indices(probs.shape[1:]) != bot).sum(axis=0)
+    db_size_excess_mass = float(probs[:, db_size > 1].sum())
 
     two = np.zeros((d, d) + (dd,) * domain_size, dtype=complex)
     two[(0, 0) + (bot,) * domain_size] = 1.0
-    same = _two_axis_apply(op, two, 0, 2)
-    same = _two_axis_apply(op, same, 1, 2)
+    same = _apply(op, two, 0, 2)
+    same = _apply(op, same, 1, 2)
     joint = (np.abs(same) ** 2).reshape(d, d, -1).sum(axis=2)
     target = np.zeros((d, d))
     np.fill_diagonal(target, 1.0 / d)
@@ -441,8 +438,8 @@ def query_unitary_smoke(l: int, domain_size: int) -> SmokeReport:
 
     independent_dev = 0.0
     if domain_size >= 2:
-        indep = _two_axis_apply(op, two, 0, 2)
-        indep = _two_axis_apply(op, indep, 1, 3)
+        indep = _apply(op, two, 0, 2)
+        indep = _apply(op, indep, 1, 3)
         joint = (np.abs(indep) ** 2).reshape(d, d, -1).sum(axis=2)
         independent_dev = float(np.abs(joint - 1.0 / d ** 2).max())
 

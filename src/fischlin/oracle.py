@@ -25,6 +25,8 @@ import json
 import struct
 from dataclasses import dataclass, field
 
+from .sigma import FieldReader, pack_field
+
 __all__ = [
     "OracleInput",
     "TranscriptEntry",
@@ -79,8 +81,7 @@ def _encode_prefix(params, protocol, a_vec) -> bytes:
     out = bytearray(_TAG)
     out += struct.pack(">II", params.k, params.l)
     for a in a_vec:
-        enc = protocol.encode_commitment(a)
-        out += len(enc).to_bytes(2, "big") + enc
+        out += pack_field(protocol.encode_commitment(a))
     return bytes(out)
 
 
@@ -90,8 +91,7 @@ def _encode_tail(params, protocol, i: int, c: int, z) -> bytes:
         raise ValueError("repetition index out of range")
     if not 0 <= c < params.N:
         raise ValueError("challenge out of range")
-    enc = protocol.encode_response(z)
-    return struct.pack(">II", i, c) + len(enc).to_bytes(2, "big") + enc
+    return struct.pack(">II", i, c) + pack_field(protocol.encode_response(z))
 
 
 def encode_input(params, protocol, inp: OracleInput) -> bytes:
@@ -110,24 +110,13 @@ def decode_input(params, protocol, data: bytes) -> OracleInput:
     truncated key."""
     if data[:4] != _TAG:
         raise ValueError("bad tag")
-    off = 4
-
-    def take(count):
-        nonlocal off
-        if off + count > len(data):
-            raise ValueError("truncated key")
-        piece = data[off:off + count]
-        off += count
-        return piece
-
-    if struct.unpack(">II", take(8)) != (params.k, params.l):
+    reader = FieldReader(data, "key", 4)
+    if reader.u32s(2) != (params.k, params.l):
         raise ValueError("parameter mismatch")
-    a_vec = tuple(protocol.decode_commitment(take(int.from_bytes(take(2), "big")))
-                  for _ in range(params.k))
-    i, c = struct.unpack(">II", take(8))
-    z = protocol.decode_response(take(int.from_bytes(take(2), "big")))
-    if off != len(data):
-        raise ValueError("trailing bytes")
+    a_vec = tuple(protocol.decode_commitment(reader.field()) for _ in range(params.k))
+    i, c = reader.u32s(2)
+    z = protocol.decode_response(reader.field())
+    reader.end()
     return OracleInput(a_vec, i, c, z)
 
 
@@ -210,7 +199,7 @@ class OracleTranscript:
                     vec = vectors[hexes] = (a_vec, _encode_prefix(params, protocol, a_vec))
                 inp = OracleInput(vec[0], i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
                 tail = _encode_tail(params, protocol, i, c, inp.z)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"transcript line {n}: {exc!r}") from None
             ts.record(vec[1], tail, inp, y)
         return ts

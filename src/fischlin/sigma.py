@@ -13,6 +13,7 @@ concrete instantiation.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -68,6 +69,41 @@ def encode_int(v: int) -> bytes:
 
 def decode_int(data: bytes) -> int:
     return int.from_bytes(data, "big")
+
+
+def pack_field(enc: bytes) -> bytes:
+    """A length-prefixed field: u16 big-endian length, then the bytes."""
+    if len(enc) > 0xFFFF:
+        raise ValueError("element encoding too long")
+    return len(enc).to_bytes(2, "big") + enc
+
+
+class FieldReader:
+    """Bounded reader of u32s and ``pack_field`` fields: ValueError past the end."""
+
+    def __init__(self, data: bytes, what: str, off: int = 0):
+        self.data, self.what, self.off = data, what, off
+
+    def take(self, count: int) -> bytes:
+        start, self.off = self.off, self.off + count
+        if self.off > len(self.data):
+            raise ValueError(f"truncated {self.what}")
+        return self.data[start:self.off]
+
+    def field(self) -> bytes:
+        # one check: a cut length prefix leaves start past the end already
+        data, start = self.data, self.off + 2
+        self.off = start + int.from_bytes(data[start - 2:start], "big")
+        if self.off > len(data):
+            raise ValueError(f"truncated {self.what}")
+        return data[start:self.off]
+
+    def u32s(self, count: int) -> tuple:
+        return struct.unpack(f">{count}I", self.take(4 * count))
+
+    def end(self):
+        if self.off != len(self.data):
+            raise ValueError("trailing bytes")
 
 
 @dataclass(frozen=True)
@@ -230,25 +266,13 @@ def _digits(c: int, base: int, count: int) -> tuple[int, ...]:
 
 
 def _pack(parts) -> bytes:
-    out = bytearray()
-    for part in parts:
-        if len(part) > 0xFFFF:
-            raise ValueError("element encoding too long")
-        out += len(part).to_bytes(2, "big") + part
-    return bytes(out)
+    return b"".join([pack_field(part) for part in parts])
 
 
 def _unpack(data: bytes) -> list[bytes]:
-    parts, off = [], 0
-    while off < len(data):
-        if off + 2 > len(data):
-            raise ValueError("truncated element list")
-        n = int.from_bytes(data[off:off + 2], "big")
-        off += 2
-        if off + n > len(data):
-            raise ValueError("truncated element list")
-        parts.append(data[off:off + n])
-        off += n
+    reader, parts = FieldReader(data, "element list"), []
+    while reader.off < len(data):
+        parts.append(reader.field())
     return parts
 
 

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 
 from .oracle import OracleInput
+from .sigma import FieldReader, pack_field
 
 __all__ = [
     "Abort",
@@ -143,11 +144,8 @@ def serialize_proof(params: FischlinParams, protocol, proof: Proof) -> bytes:
     out = bytearray(_MAGIC)
     out += struct.pack(">III", params.k, params.l, params.N)
     for a, c, z in zip(proof.a_vec, proof.c_vec, proof.z_vec):
-        enc = protocol.encode_commitment(a)
-        out += len(enc).to_bytes(2, "big") + enc
-        out += struct.pack(">I", c)
-        enc = protocol.encode_response(z)
-        out += len(enc).to_bytes(2, "big") + enc
+        out += pack_field(protocol.encode_commitment(a)) + struct.pack(">I", c)
+        out += pack_field(protocol.encode_response(z))
     return bytes(out)
 
 
@@ -155,35 +153,22 @@ def peek_params(data: bytes) -> tuple[int, int, int]:
     """Read (k, l, N) from a serialized proof header."""
     if data[:4] != _MAGIC:
         raise ValueError("bad magic")
-    if len(data) < 16:
-        raise ValueError("truncated header")
-    return struct.unpack_from(">III", data, 4)
+    return FieldReader(data, "header", 4).u32s(3)
 
 
 def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
-    k, l, n = peek_params(data)
-    if (k, l, n) != (params.k, params.l, params.N):
+    if peek_params(data) != (params.k, params.l, params.N):
         raise ValueError("parameter mismatch")
-    off = 16
+    reader = FieldReader(data, "proof", 16)
     a_vec, c_vec, z_vec = [], [], []
-
-    def take(count):
-        nonlocal off
-        if off + count > len(data):
-            raise ValueError("truncated proof")
-        piece = data[off:off + count]
-        off += count
-        return piece
-
-    for _ in range(k):
-        a_vec.append(protocol.decode_commitment(take(int.from_bytes(take(2), "big"))))
-        c = struct.unpack(">I", take(4))[0]
-        if c >= n:
+    for _ in range(params.k):
+        a_vec.append(protocol.decode_commitment(reader.field()))
+        c, = reader.u32s(1)
+        if c >= params.N:
             raise ValueError("challenge out of range")
         c_vec.append(c)
-        z_vec.append(protocol.decode_response(take(int.from_bytes(take(2), "big"))))
-    if off != len(data):
-        raise ValueError("trailing bytes")
+        z_vec.append(protocol.decode_response(reader.field()))
+    reader.end()
     return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec))
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fischlin.cli import main
+from fischlin.cli import _parse_grid, main
 
 
 def run(capsys, *argv):
@@ -180,12 +180,15 @@ class TestProveVerifyPipeline:
         ("--config", '{"params": [1]}'),
         ("--config", '{"seed": null}'),
         ("--config", '{"oracle_seed": 5}'),
+        *((flag, "[" * 100000) for flag in
+          ("--table", "--transcript", "--instance", "--witness", "--config")),
     ], ids=["proof-missing", "transcript-null", "transcript-list", "transcript-a-int",
             "transcript-i-str", "transcript-c-float", "transcript-y-range",
             "table-null", "table-int-record", "table-y-range", "table-y-str",
             "instance-null", "instance-x-null", "instance-p-list",
             "witness-w-null", "witness-list", "config-list", "config-params-list",
-            "config-seed-null", "config-oracle-seed-int"])
+            "config-seed-null", "config-oracle-seed-int", "table-deep",
+            "transcript-deep", "instance-deep", "witness-deep", "config-deep"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, keypair, flag, content):
         inst, wit = keypair
         proof, record = tmp_path / "proof.bin", tmp_path / "transcript.jsonl"
@@ -269,12 +272,22 @@ class TestBoundsPlanLab:
         ["--grid", "k=2^1..2^3;l=14;c=0"],  # c = 0 reached the constraints first
         ["--grid", "k=2^1100;l=14;c=1", "--all-points"],  # k beyond float range
         ["--k", "4", "--l", "2000", "--c", "1"],  # 2^l beyond float range
-    ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow"])
+        # (q + k)^2 beyond float range: at 2^512, and at 2^512 - 1, whose
+        # square rounds up to 2^1024
+        ["--k", str(2 ** 30), "--l", "14", "--c", "1", "--q", str(2 ** 512)],
+        ["--k", str(2 ** 30), "--l", "14", "--c", "1", "--q", str(2 ** 512 - 2 ** 30 - 1)],
+    ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow", "point-q-overflow",
+            "point-q-square-rounds-up"])
     def test_bounds_out_of_range_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec", ["k=2^5000", "k=2^1..2^5000", "c=3^2000"])
+    def test_grid_exponent_checked_before_power(self, spec):
+        with pytest.raises(ValueError, match="grid exponent"):
+            _parse_grid(spec)
 
     def test_plan(self, capsys):
         code, out, _ = run(capsys, "plan", "--k", str(2 ** 30), "--c", "1",

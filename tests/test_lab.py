@@ -6,7 +6,11 @@ import pytest
 
 from fischlin.bounds import eval_eps_dprime, eval_eps_gamma
 from fischlin.lab import (
+    AMPLITUDE_CAP,
+    SmokeReport,
     TensorState,
+    _hadamard_basis,
+    _query_op,
     build_symmetric_state,
     chernoff_mc,
     comp_matrix,
@@ -298,3 +302,128 @@ class TestTensorStateInvariants:
         bad = np.ones((2, 2), dtype=complex)
         with pytest.raises(ValueError):
             TensorState(2, 1, bad)
+
+
+# Loop-based versions of the tensor plumbing: one tensordot per axis, a
+# Python loop over every index tuple for the W(n, m) mask and the database
+# size, and the dense block-diagonal query operator. The vectorised code
+# must agree with them bit for bit.
+
+def reference_build_symmetric_state(m, n, l, rng, symmetrize=True):
+    d = 1 << l
+    coeff = np.zeros((d,) * m, dtype=complex)
+    for t in itertools.product(range(d), repeat=m):
+        if sum(1 for v in t if v == 0) >= n:
+            coeff[t] = rng.standard_normal() + 1j * rng.standard_normal()
+    if not np.any(coeff):
+        coeff[(0,) * m] = 1.0
+    basis = _hadamard_basis(d)
+    amps = coeff
+    for ax in range(m):
+        amps = np.moveaxis(np.tensordot(basis, amps, axes=(1, ax)), 0, ax)
+    amps = amps / np.linalg.norm(amps)
+    if not symmetrize:
+        return amps
+    perms = list(itertools.permutations(range(m)))
+    sym = np.stack([np.transpose(amps, axes=p) for p in perms], axis=-1)
+    return sym / math.sqrt(len(perms))
+
+
+def reference_subspace_defect(state, n):
+    d = state.register_dim
+    basis = _hadamard_basis(d)
+    amps = state.amps
+    for ax in range(state.m):
+        amps = np.moveaxis(np.tensordot(basis, amps, axes=(1, ax)), 0, ax)
+    mask = np.zeros((d,) * state.m, dtype=bool)
+    for t in itertools.product(range(d), repeat=state.m):
+        if sum(1 for v in t if v == 0) >= n:
+            mask[t] = True
+    projected = amps * mask.reshape(mask.shape + (1,) * state.env_axes)
+    return float(np.linalg.norm(amps - projected))
+
+
+def reference_two_axis_apply(op, state, ax1, ax2):
+    d1, d2 = state.shape[ax1], state.shape[ax2]
+    moved = np.moveaxis(state, (ax1, ax2), (0, 1))
+    out = (op @ moved.reshape(d1 * d2, -1)).reshape((d1, d2) + moved.shape[2:])
+    return np.moveaxis(out, (0, 1), (ax1, ax2))
+
+
+def reference_query_unitary_smoke(l, domain_size):
+    d = 1 << l
+    dd = d + 1
+    bot = d
+    dim_rest = d * dd ** domain_size
+    assert (domain_size * dim_rest) ** 2 <= AMPLITUDE_CAP
+    op = _query_op(l)
+    full = np.zeros((domain_size * dim_rest,) * 2, dtype=complex)
+    for x in range(domain_size):
+        cols = np.eye(dim_rest, dtype=complex).reshape(
+            (d,) + (dd,) * domain_size + (dim_rest,))
+        cols = reference_two_axis_apply(op, cols, 0, 1 + x)
+        block = cols.reshape(dim_rest, dim_rest)
+        full[x * dim_rest:(x + 1) * dim_rest, x * dim_rest:(x + 1) * dim_rest] = block
+    unitary_defect = float(np.abs(full.conj().T @ full - np.eye(full.shape[0])).max())
+
+    empty = product_state(domain_size, plus_state(l, with_bot=True))
+    comp = comp_matrix(l)
+    for ax in range(domain_size):
+        empty = np.moveaxis(np.tensordot(comp, empty, axes=(1, ax)), 0, ax)
+    empty_db_mass = float(np.abs(empty[(bot,) * domain_size]) ** 2)
+
+    state = np.zeros((d,) + (dd,) * domain_size, dtype=complex)
+    state[(0,) + (bot,) * domain_size] = 1.0
+    state = reference_two_axis_apply(op, state, 0, 1)
+    y_marg = (np.abs(state.reshape(d, -1)) ** 2).sum(axis=1)
+    y_uniform_dev = float(np.abs(y_marg - 1.0 / d).max())
+
+    probs = np.abs(state) ** 2
+    excess = 0.0
+    for idx in np.ndindex(*probs.shape):
+        if sum(1 for v in idx[1:] if v != bot) > 1:
+            excess += probs[idx]
+    db_size_excess_mass = float(excess)
+
+    two = np.zeros((d, d) + (dd,) * domain_size, dtype=complex)
+    two[(0, 0) + (bot,) * domain_size] = 1.0
+    same = reference_two_axis_apply(op, two, 0, 2)
+    same = reference_two_axis_apply(op, same, 1, 2)
+    joint = (np.abs(same) ** 2).reshape(d, d, -1).sum(axis=2)
+    target = np.zeros((d, d))
+    np.fill_diagonal(target, 1.0 / d)
+    same_x_dev = float(np.abs(joint - target).max())
+
+    independent_dev = 0.0
+    if domain_size >= 2:
+        indep = reference_two_axis_apply(op, two, 0, 2)
+        indep = reference_two_axis_apply(op, indep, 1, 3)
+        joint = (np.abs(indep) ** 2).reshape(d, d, -1).sum(axis=2)
+        independent_dev = float(np.abs(joint - 1.0 / d ** 2).max())
+
+    return SmokeReport(l, domain_size, unitary_defect, empty_db_mass,
+                       y_uniform_dev, db_size_excess_mass, same_x_dev,
+                       independent_dev)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_symmetric_state_and_defect(self, l, symmetrize):
+        for m in range(1, 5):
+            for n in range(1, m + 1):
+                for seed in range(3):
+                    got = build_symmetric_state(m, n, l, np.random.default_rng(seed),
+                                                symmetrize=symmetrize)
+                    want = reference_build_symmetric_state(
+                        m, n, l, np.random.default_rng(seed), symmetrize=symmetrize)
+                    assert np.array_equal(got.amps, want), (m, n, seed)
+                    for nn in range(1, m + 2):
+                        assert subspace_defect(got, nn) == \
+                            reference_subspace_defect(got, nn), (m, n, seed, nn)
+
+    @pytest.mark.parametrize("l,domain_size",
+                             list(itertools.product((1, 2), (1, 2, 3))))
+    def test_query_smoke(self, l, domain_size):
+        assert query_unitary_smoke(l, domain_size) == \
+            reference_query_unitary_smoke(l, domain_size)

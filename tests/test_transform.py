@@ -1,11 +1,16 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fischlin import oracle as oracle_mod
 from fischlin.extractor import attempts_per_repetition
-from fischlin.oracle import RecordingOracle, derive_seed
-from fischlin.sigma import Schnorr, keygen, protocol_for_challenge_space
+from fischlin.oracle import OracleInput, RecordingOracle, decode_input, derive_seed, \
+    encode_input
+from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, keygen, \
+    protocol_for_challenge_space
 from fischlin.transform import (
     Abort,
     FischlinParams,
@@ -290,3 +295,65 @@ class TestSerialization:
         blob = serialize_proof(params, proto, proof)
         assert deserialize_proof(params, proto, blob) == proof
         assert verify(params, proto, inst, proof, oracle)
+
+
+FUZZ_GROUP = GroupParams(1019, 509, 4)
+# Schnorr at N = 16, and N = 600 > 509: the two-copy RepeatedSigma
+FUZZ_PROTOCOLS = [(Schnorr(FUZZ_GROUP, 16), 16),
+                  (protocol_for_challenge_space(FUZZ_GROUP, 600), 600)]
+
+
+@st.composite
+def parser_cases(draw):
+    """(parser, blob, mutation, value): a valid proof or oracle key for a
+    random k, then cut, byte-flipped, extended, replaced by random bytes
+    (after the header or whole) or left as is."""
+    protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
+    k = draw(st.integers(1, 3))
+    params = FischlinParams(k=k, l=4, N=n, T=n)
+    element, scalar = st.integers(0, 1018), st.integers(0, 508)
+    if isinstance(protocol, RepeatedSigma):
+        element, scalar = st.tuples(element, element), st.tuples(scalar, scalar)
+    a_vec = tuple(draw(st.lists(element, min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        value = Proof(a_vec, tuple(draw(st.lists(st.integers(0, n - 1), min_size=k,
+                                                 max_size=k))),
+                      tuple(draw(st.lists(scalar, min_size=k, max_size=k))))
+        blob, header = serialize_proof(params, protocol, value), 16
+        parse = functools.partial(deserialize_proof, params, protocol)
+    else:
+        value = OracleInput(a_vec, draw(st.integers(1, k)), draw(st.integers(0, n - 1)),
+                            draw(scalar))
+        blob, header = encode_input(params, protocol, value), 12
+        parse = functools.partial(decode_input, params, protocol)
+    mutation = draw(st.sampled_from(["none", "cut", "flip", "extend", "body", "random"]))
+    if mutation == "cut":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif mutation == "flip":
+        pos = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:pos] + bytes([blob[pos] ^ draw(st.integers(1, 255))]) + blob[pos + 1:]
+    elif mutation == "extend":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    elif mutation == "body":
+        blob = blob[:header] + draw(st.binary(max_size=64))
+    elif mutation == "random":
+        blob = draw(st.binary(max_size=64))
+    return parse, blob, mutation, value
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(parser_cases())
+    def test_returns_or_raises_value_error(self, case):
+        """deserialize_proof and decode_input either return or raise
+        ValueError; valid blobs round-trip, and cut or extended ones are
+        rejected."""
+        parse, blob, mutation, value = case
+        try:
+            got = parse(blob)
+        except ValueError:
+            assert mutation != "none"
+            return
+        assert mutation not in ("cut", "extend")
+        if mutation == "none":
+            assert got == value
