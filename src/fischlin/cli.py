@@ -236,9 +236,10 @@ def _grid_exponent(e: int) -> int:
 
 
 def _parse_grid(spec: str) -> dict:
-    """Grid spec: semicolon-separated name=values with comma lists; values
-    may use B^E, and k accepts 2^A..2^B for the powers of two between.
-    Every exponent must be below 1024 in magnitude."""
+    """Grid spec: semicolon-separated name=values with comma lists over the
+    names k, l (integers) and c; values may use B^E, and k accepts 2^A..2^B
+    for the powers of two between. Every exponent must be below 1024 in
+    magnitude."""
     out = {}
     for part in spec.replace(" ", ";").split(";"):
         if not part:
@@ -256,7 +257,12 @@ def _parse_grid(spec: str) -> dict:
                 items.append(int(base) ** _grid_exponent(int(exp)))
             else:
                 items.append(float(v) if "." in v else int(v))
-        out[name.strip()] = items
+        name = name.strip()
+        if name not in ("k", "l", "c"):
+            raise ValueError(f"unknown grid name {name!r}: use k, l and c")
+        if name != "c" and any(type(v) is not int for v in items):
+            raise ValueError(f"grid {name} values must be integers")
+        out[name] = items
     return out
 
 

@@ -2,10 +2,11 @@
 
 A prover that grinds challenges leaves a trail: for each repetition the
 transcript holds every attempted (challenge, response) pair, all of them
-valid sigma transcripts for the same commitment. The extractor sorts the
-log once and walks it for two valid entries sharing the commitment vector
-and repetition index but differing in challenge, then runs
-special-soundness extraction. No rewinding, no extra queries.
+valid sigma transcripts for the same commitment. The extractor sorts each
+commitment vector's recorded tails once and walks them for two valid
+entries sharing the vector and repetition index but differing in
+challenge, then runs special-soundness extraction. No rewinding, no extra
+queries.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import groupby, islice
+from operator import itemgetter
 
 from . import transform
 from .oracle import RecordingOracle, _encode_prefix
@@ -25,6 +27,9 @@ __all__ = [
     "ExperimentResult",
     "attempts_per_repetition",
 ]
+
+# A tail's leading u32, its repetition index i, as bytes.
+_REPETITION = itemgetter(slice(0, 4))
 
 
 class Status(enum.Enum):
@@ -52,23 +57,24 @@ class ExtractionOutcome:
 def extract(params, protocol, instance, proof, transcript) -> ExtractionOutcome:
     """Search the transcript for a special-soundness pair in one sorted pass.
 
-    Entries are sorted once: those prefixed by the proof's commitment
-    vector first, then every other recorded vector, each in canonical
-    input-encoding order. The prefix encoding is prefix-free and every tail
-    starts with i, so the entries of one (vector, repetition) pair are
-    adjacent. Each such group is sigma-verified lazily, stopping at its
-    first two valid entries, and the first group that has two decides: the
-    pair that is lexicographically first in the encoding wins. A pair with
-    equal challenges but distinct responses is surfaced as a unique-response
+    The proof's commitment vector comes first, then every other recorded
+    vector in prefix-byte order; within a vector the tails are sorted as
+    bytes, which is canonical input-encoding order. Every tail starts with
+    i, so the entries of one (vector, repetition) pair are adjacent. Each
+    such group is decoded and sigma-verified lazily, stopping at its first
+    two valid entries, and the first group that has two decides: the pair
+    that is lexicographically first in the encoding wins. A pair with equal
+    challenges but distinct responses is surfaced as a unique-response
     violation instead of being skipped. The caller must have verified the
     proof already.
     """
-    # equal prefixes mean equal vectors, and bytes compare faster than tuples
     own = _encode_prefix(params, protocol, proof.a_vec)
-    ordered = sorted(transcript.entries, key=lambda e: (e.prefix != own, e.prefix, e.tail))
-    for _, group in groupby(ordered, key=lambda e: (e.prefix, e.inp.i)):
-        valid = (e.inp for e in group
-                 if protocol.verify(instance, e.inp.a_vec[e.inp.i - 1], e.inp.c, e.inp.z))
+    tails = transcript.tails_by_vector()
+    groups = (map(vec.input, group)
+              for vec in sorted(transcript.vectors, key=lambda v: (v.prefix != own, v.prefix))
+              for _, group in groupby(sorted(tails[vec.vid]), key=_REPETITION))
+    for group in groups:
+        valid = (u for u in group if protocol.verify(instance, u.a_vec[u.i - 1], u.c, u.z))
         pair = list(islice(valid, 2))
         if len(pair) == 2:
             break
@@ -113,9 +119,11 @@ def run_online_experiment(params, protocol, prover, seed: bytes) -> ExperimentRe
 
 def attempts_per_repetition(proof, transcript) -> list[int]:
     """How many challenges each repetition ground through, counted from
-    the recorded queries prefixed by the proof's commitment vector."""
+    the recorded tails of the proof's commitment vector."""
     counts = [0] * len(proof.a_vec)
-    for e in transcript.entries:
-        if e.inp.a_vec == proof.a_vec:
-            counts[e.inp.i - 1] += 1
+    tails = transcript.tails_by_vector()
+    for vec in transcript.vectors:
+        if vec.a_vec == proof.a_vec:
+            for tail in tails[vec.vid]:
+                counts[int.from_bytes(_REPETITION(tail), "big") - 1] += 1
     return counts

@@ -12,10 +12,16 @@ The encoding is a commitment-vector prefix (k commitments, shared by every
 query of one proof) followed by a short tail (i, c, z). The oracle encodes
 each distinct prefix once and keeps the SHA-256 state after absorbing
 ``seed || prefix``; a query encodes only its tail and hashes it from a copy
-of that midstate. Transcript entries and the transcript index hold the
-shared prefix object and the tail, so a query costs the same time and
-memory whatever k is. The full key ``prefix || tail`` is built only for
+of that midstate. The full key ``prefix || tail`` is built only for
 reprogram-table lookups, whose JSON keeps the full bytes.
+
+The transcript is stored column-wise. Each commitment vector is kept once,
+with its prefix bytes and a ``tail -> y`` dict that answers repeated
+queries; in record order there are parallel lists of tails, answers and
+vector numbers. Recording a query therefore adds only bytes and ints, none
+of which the cyclic garbage collector tracks, and costs the same time and
+memory whatever k is. ``OracleTranscript.entries`` is a read-only view
+that decodes a structured entry only when one is read.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .sigma import FieldReader, pack_field
@@ -30,6 +37,8 @@ from .sigma import FieldReader, pack_field
 __all__ = [
     "OracleInput",
     "TranscriptEntry",
+    "TranscriptEntries",
+    "TranscriptVector",
     "OracleTranscript",
     "ReprogramTable",
     "RecordingOracle",
@@ -85,13 +94,13 @@ def _encode_prefix(params, protocol, a_vec) -> bytes:
     return bytes(out)
 
 
-def _encode_tail(params, protocol, i: int, c: int, z) -> bytes:
-    """u32 i, u32 c, length-prefixed response encoding."""
+def _encode_tail(params, i: int, c: int, response: bytes) -> bytes:
+    """u32 i, u32 c, then the length-prefixed response encoding."""
     if not 1 <= i <= params.k:
         raise ValueError("repetition index out of range")
     if not 0 <= c < params.N:
         raise ValueError("challenge out of range")
-    return struct.pack(">II", i, c) + pack_field(protocol.encode_response(z))
+    return struct.pack(">II", i, c) + pack_field(response)
 
 
 def encode_input(params, protocol, inp: OracleInput) -> bytes:
@@ -102,7 +111,7 @@ def encode_input(params, protocol, inp: OracleInput) -> bytes:
     extractor's lexicographic tie-break.
     """
     return _encode_prefix(params, protocol, inp.a_vec) + \
-        _encode_tail(params, protocol, inp.i, inp.c, inp.z)
+        _encode_tail(params, inp.i, inp.c, protocol.encode_response(inp.z))
 
 
 def decode_input(params, protocol, data: bytes) -> OracleInput:
@@ -143,47 +152,89 @@ def derive_seed(material) -> bytes:
     return hashlib.sha256(b"fischlin-oracle-seed" + data).digest()
 
 
-@dataclass
+class TranscriptVector:
+    """One commitment vector of a transcript: its number in first-use
+    order, its prefix encoding, the vector, the protocol that encodes its
+    responses, and ``answers``, the ``tail -> y`` lookup of its recorded
+    queries."""
+
+    __slots__ = ("vid", "prefix", "a_vec", "protocol", "answers")
+
+    def __init__(self, vid: int, prefix: bytes, a_vec: tuple, protocol):
+        self.vid, self.prefix, self.a_vec, self.protocol = vid, prefix, a_vec, protocol
+        self.answers: dict[bytes, int] = {}
+
+    def input(self, tail: bytes) -> OracleInput:
+        """The structured query a well-formed tail of this vector encodes."""
+        i, c = struct.unpack_from(">II", tail)
+        return OracleInput(self.a_vec, i, c, self.protocol.decode_response(tail[10:]))
+
+
 class OracleTranscript:
     """Ordered log of distinct queries; repeats return the first answer.
-    ``index`` maps (prefix, tail) of each recorded query to its answer."""
 
-    entries: list = field(default_factory=list)
-    index: dict = field(default_factory=dict)
+    ``vectors`` lists every commitment vector in first-use order. The
+    parallel lists ``tails``, ``ys`` and ``vids`` hold each recorded
+    query's tail, answer and vector number in record order."""
+
+    def __init__(self):
+        self.vectors: list[TranscriptVector] = []
+        self._by_prefix: dict[bytes, TranscriptVector] = {}
+        self.tails: list[bytes] = []
+        self.ys: list[int] = []
+        self.vids: list[int] = []
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.tails)
 
-    def record(self, prefix: bytes, tail: bytes, inp: OracleInput, y: int):
-        self.entries.append(TranscriptEntry(prefix, tail, inp, y))
-        self.index[(prefix, tail)] = y
+    def vector(self, prefix: bytes, a_vec: tuple, protocol) -> TranscriptVector:
+        """The vector whose encoding is ``prefix``, added if new."""
+        vec = self._by_prefix.get(prefix)
+        if vec is None:
+            vec = self._by_prefix[prefix] = TranscriptVector(
+                len(self.vectors), prefix, a_vec, protocol)
+            self.vectors.append(vec)
+        return vec
+
+    def record(self, vec: TranscriptVector, tail: bytes, y: int):
+        vec.answers[tail] = y
+        self.tails.append(tail)
+        self.ys.append(y)
+        self.vids.append(vec.vid)
+
+    @property
+    def entries(self) -> "TranscriptEntries":
+        return TranscriptEntries(self)
+
+    def tails_by_vector(self) -> list[list[bytes]]:
+        """Each vector's tails in record order, repeats included, indexed
+        by vector number."""
+        if len(self.vectors) == 1:
+            return [self.tails]
+        out = [[] for _ in self.vectors]
+        for vid, tail in zip(self.vids, self.tails):
+            out[vid].append(tail)
+        return out
 
     def to_jsonl(self, protocol) -> str:
         """One JSON object per entry; each distinct commitment vector is
-        hex-encoded once."""
-        hexes: dict[bytes, list] = {}  # prefix -> commitment hex strings
-
-        def a_hex(e):
-            out = hexes.get(e.prefix)
-            if out is None:
-                out = hexes[e.prefix] = [protocol.encode_commitment(a).hex()
-                                         for a in e.inp.a_vec]
-            return out
-
-        return "".join(json.dumps({
-            "a": a_hex(e),
-            "i": e.inp.i,
-            "c": e.inp.c,
-            "z": protocol.encode_response(e.inp.z).hex(),
-            "y": e.y,
-        }) + "\n" for e in self.entries)
+        hex-encoded once, and ``z`` is the tail's canonical response field."""
+        hexes = [[protocol.encode_commitment(a).hex() for a in vec.a_vec]
+                 for vec in self.vectors]
+        lines = []
+        for vid, tail, y in zip(self.vids, self.tails, self.ys):
+            i, c = struct.unpack_from(">II", tail)
+            lines.append(json.dumps({"a": hexes[vid], "i": i, "c": c,
+                                     "z": tail[10:].hex(), "y": y}) + "\n")
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, params, protocol, text: str) -> "OracleTranscript":
         """Inverse of ``to_jsonl``; raises ValueError naming a malformed line.
-        Each distinct commitment vector is decoded and encoded once."""
+        Each distinct commitment vector is decoded and encoded once; a
+        response is re-encoded canonically into its tail."""
         ts = cls()
-        vectors: dict[tuple, tuple] = {}  # hex strings -> (a_vec, prefix)
+        vectors: dict[tuple, TranscriptVector] = {}  # hex strings -> vector
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -196,13 +247,30 @@ class OracleTranscript:
                 vec = vectors.get(hexes)
                 if vec is None:
                     a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
-                    vec = vectors[hexes] = (a_vec, _encode_prefix(params, protocol, a_vec))
-                inp = OracleInput(vec[0], i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
-                tail = _encode_tail(params, protocol, i, c, inp.z)
+                    vec = vectors[hexes] = ts.vector(
+                        _encode_prefix(params, protocol, a_vec), a_vec, protocol)
+                response = protocol.canonical_response(bytes.fromhex(rec["z"]))
+                tail = _encode_tail(params, i, c, response)
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"transcript line {n}: {exc!r}") from None
-            ts.record(vec[1], tail, inp, y)
+            ts.record(vec, tail, y)
         return ts
+
+
+class TranscriptEntries(Sequence):
+    """Read-only view of a transcript's entries in record order; each
+    ``TranscriptEntry`` is decoded when it is read."""
+
+    def __init__(self, transcript: OracleTranscript):
+        self._ts = transcript
+
+    def __len__(self):
+        return len(self._ts.tails)
+
+    def __getitem__(self, j: int) -> TranscriptEntry:
+        ts = self._ts
+        vec, tail = ts.vectors[ts.vids[j]], ts.tails[j]
+        return TranscriptEntry(vec.prefix, tail, vec.input(tail), ts.ys[j])
 
 
 @dataclass
@@ -257,40 +325,41 @@ class RecordingOracle:
         self.transcript = transcript if transcript is not None else OracleTranscript()
         self.table = table if table is not None else ReprogramTable()
         self.programmer = None
-        # a_vec -> (prefix, SHA-256 state after seed || prefix); the last
-        # vector asked for is checked by identity before the dict.
+        # a_vec -> (SHA-256 state after seed || prefix, transcript vector);
+        # the last vector asked for is checked by identity before the dict.
         self._contexts: dict[tuple, tuple] = {}
         self._last = (object(), None)
 
     def _split(self, inp: OracleInput) -> tuple:
-        """(prefix, midstate, tail) of a query; only the tail is encoded
-        per query."""
+        """(midstate, transcript vector, tail) of a query; only the tail is
+        encoded per query."""
         a_vec = inp.a_vec
         last_vec, ctx = self._last
         if a_vec is not last_vec:
             ctx = self._contexts.get(a_vec)
             if ctx is None:
                 prefix = _encode_prefix(self.params, self.protocol, a_vec)
-                ctx = self._contexts[a_vec] = (prefix, hashlib.sha256(self.seed + prefix))
+                ctx = self._contexts[a_vec] = (
+                    hashlib.sha256(self.seed + prefix),
+                    self.transcript.vector(prefix, a_vec, self.protocol))
             self._last = (a_vec, ctx)
-        prefix, mid = ctx
-        return prefix, mid, _encode_tail(self.params, self.protocol, inp.i, inp.c, inp.z)
+        mid, vec = ctx
+        return mid, vec, _encode_tail(self.params, inp.i, inp.c,
+                                      self.protocol.encode_response(inp.z))
 
     def encode(self, inp: OracleInput) -> bytes:
         """``encode_input`` with the commitment-vector prefix cached."""
-        prefix, _, tail = self._split(inp)
-        return prefix + tail
+        _, vec, tail = self._split(inp)
+        return vec.prefix + tail
 
     def query(self, inp: OracleInput) -> int:
-        prefix, mid, tail = self._split(inp)
-        transcript = self.transcript
-        prev = transcript.index.get((prefix, tail))
-        if prev is not None:
-            return prev
-        y = None
+        mid, vec, tail = self._split(inp)
+        y = vec.answers.get(tail)
+        if y is not None:
+            return y
         overrides = self.table.overrides
         if overrides or self.programmer is not None:
-            key = prefix + tail
+            key = vec.prefix + tail
             y = overrides.get(key)
             if y is None and self.programmer is not None:
                 y = self.programmer(inp)
@@ -300,17 +369,17 @@ class RecordingOracle:
             h = mid.copy()
             h.update(tail)
             y = _truncate(h.digest(), self.params.l)
-        transcript.record(prefix, tail, inp, y)
+        self.transcript.record(vec, tail, y)
         return y
 
     def reprogram(self, inp: OracleInput, value: int):
         """Install an override; fails if the point is already fixed."""
         if not 0 <= value < 1 << self.params.l:
             raise ValueError("programmed value out of range")
-        prefix, _, tail = self._split(inp)
-        if (prefix, tail) in self.transcript.index:
+        _, vec, tail = self._split(inp)
+        if tail in vec.answers:
             raise ReprogramConflict("point already queried")
-        key = prefix + tail
+        key = vec.prefix + tail
         old = self.table.overrides.get(key)
         if old is not None and old != value:
             raise ReprogramConflict("point already programmed differently")

@@ -255,6 +255,10 @@ class Schnorr:
     def decode_response(self, data: bytes) -> int:
         return decode_int(data)
 
+    def canonical_response(self, data: bytes) -> bytes:
+        """``encode_response(decode_response(data))``, without decoding."""
+        return data.lstrip(b"\0")
+
 
 def _digits(c: int, base: int, count: int) -> tuple[int, ...]:
     """Base-``base`` digits of c, most significant first."""
@@ -269,10 +273,11 @@ def _pack(parts) -> bytes:
     return b"".join([pack_field(part) for part in parts])
 
 
-def _unpack(data: bytes) -> list[bytes]:
-    reader, parts = FieldReader(data, "element list"), []
-    while reader.off < len(data):
-        parts.append(reader.field())
+def _unpack(data: bytes, count: int) -> list[bytes]:
+    """Exactly ``count`` packed fields; ValueError on a cut or longer list."""
+    reader = FieldReader(data, "element list")
+    parts = [reader.field() for _ in range(count)]
+    reader.end()
     return parts
 
 
@@ -352,13 +357,19 @@ class RepeatedSigma:
         return _pack(self.base.encode_commitment(ai) for ai in a)
 
     def decode_commitment(self, data: bytes):
-        return tuple(self.base.decode_commitment(p) for p in _unpack(data))
+        return tuple(self.base.decode_commitment(p) for p in _unpack(data, self.copies))
 
     def encode_response(self, z) -> bytes:
         return _pack(self.base.encode_response(zi) for zi in z)
 
     def decode_response(self, data: bytes):
-        return tuple(self.base.decode_response(p) for p in _unpack(data))
+        return tuple(self.base.decode_response(p) for p in _unpack(data, self.copies))
+
+    def canonical_response(self, data: bytes) -> bytes:
+        """``encode_response(decode_response(data))``, without decoding."""
+        parts = _unpack(data, self.copies)
+        canon = [self.base.canonical_response(p) for p in parts]
+        return data if canon == parts else _pack(canon)
 
 
 def restrict_and_repeat(base: Schnorr, copies: int, challenge_space: int):

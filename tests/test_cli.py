@@ -3,6 +3,16 @@ import json
 import pytest
 
 from fischlin.cli import _parse_grid, main
+from fischlin.sigma import GroupParams, protocol_for_challenge_space
+from fischlin.transform import FischlinParams, Proof, serialize_proof
+
+
+# A k=2, l=2, N=600 proof (the two-copy protocol on the toy group) whose
+# first commitment packs three elements.
+THREE_PART_PROOF = serialize_proof(
+    FischlinParams(k=2, l=2, N=600, T=600),
+    protocol_for_challenge_space(GroupParams(1019, 509, 4), 600),
+    Proof(((4, 16, 64), (4, 16)), (0, 0), ((1, 2), (3, 4))))
 
 
 def run(capsys, *argv):
@@ -157,10 +167,11 @@ class TestProveVerifyPipeline:
     # Each case points one input file of verify (--proof, --table,
     # --instance), extract (--transcript) or prove (--witness, --config) at
     # a missing (None) or malformed file; a dict replaces fields of a
-    # recorded transcript line. The bad file is passed last, so it
-    # overrides the good one of the same flag.
+    # recorded transcript line, and bytes are written as they are. The bad
+    # file is passed last, so it overrides the good one of the same flag.
     @pytest.mark.parametrize("flag,content", [
         ("--proof", None),
+        ("--proof", THREE_PART_PROOF),
         ("--transcript", "null"),
         ("--transcript", "[1]"),
         ("--transcript", {"a": 5}),
@@ -182,7 +193,7 @@ class TestProveVerifyPipeline:
         ("--config", '{"oracle_seed": 5}'),
         *((flag, "[" * 100000) for flag in
           ("--table", "--transcript", "--instance", "--witness", "--config")),
-    ], ids=["proof-missing", "transcript-null", "transcript-list", "transcript-a-int",
+    ], ids=["proof-missing", "proof-three-part-commitment", "transcript-null", "transcript-list", "transcript-a-int",
             "transcript-i-str", "transcript-c-float", "transcript-y-range",
             "table-null", "table-int-record", "table-y-range", "table-y-str",
             "instance-null", "instance-x-null", "instance-p-list",
@@ -201,7 +212,9 @@ class TestProveVerifyPipeline:
         if isinstance(content, dict):
             rec = json.loads(record.read_text().splitlines()[0])
             content = json.dumps(dict(rec, **content))
-        if content is not None:
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        elif content is not None:
             bad.write_text(content + "\n")
         argv = {
             "--transcript": ["extract", "--proof", str(proof), "--instance", str(inst)],
@@ -214,6 +227,24 @@ class TestProveVerifyPipeline:
         }.get(flag, ["verify", "--proof", str(proof), "--instance", str(inst)])
         code, _, err = run(capsys, *argv, flag, str(bad))
         assert code == 2 and "error" in err
+
+    def test_three_part_response_in_transcript_exits_2(self, tmp_path, capsys, keypair):
+        # N = 600: the two-copy protocol, whose responses pack two elements
+        inst, wit = keypair
+        proof, record = tmp_path / "proof.bin", tmp_path / "transcript.jsonl"
+        code, _, _ = run(capsys, "prove", "--instance", str(inst),
+                         "--witness", str(wit), "--k", "2", "--l", "2",
+                         "--n", "600", "--out", str(proof),
+                         "--record", str(record), "--seed", "5")
+        assert code == 0
+        first, *rest = record.read_text().splitlines()
+        rec = json.loads(first)
+        rec["z"] += "000140"  # a third packed element, 0x40
+        record.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        code, out, err = run(capsys, "extract", "--proof", str(proof),
+                             "--instance", str(inst), "--transcript", str(record))
+        assert code == 2 and out == ""
+        assert err.startswith("error: transcript line 1:")
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -276,8 +307,13 @@ class TestBoundsPlanLab:
         # square rounds up to 2^1024
         ["--k", str(2 ** 30), "--l", "14", "--c", "1", "--q", str(2 ** 512)],
         ["--k", str(2 ** 30), "--l", "14", "--c", "1", "--q", str(2 ** 512 - 2 ** 30 - 1)],
+        # --k and --l take integers, and the grid names are k, l and c
+        ["--grid", "k=2.5;l=14;c=1", "--all-points"],
+        ["--grid", "k=4;l=1.5;c=1"],
+        ["--grid", "k=4;l=14;c=1;z=3"],
     ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow", "point-q-overflow",
-            "point-q-square-rounds-up"])
+            "point-q-square-rounds-up", "grid-k-fraction", "grid-l-fraction",
+            "grid-unknown-name"])
     def test_bounds_out_of_range_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2

@@ -1,6 +1,11 @@
+import gc
+import json
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fischlin.oracle import (
     OracleInput,
@@ -10,10 +15,12 @@ from fischlin.oracle import (
     ReprogramTable,
     decode_input,
     derive_seed,
+    _encode_prefix,
     encode_input,
     ro_eval,
 )
-from fischlin.sigma import GroupParams, Schnorr
+from fischlin.sigma import FieldReader, GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
+    SigmaWitness, pack_field, protocol_for_challenge_space
 from fischlin.transform import FischlinParams
 
 PARAMS = FischlinParams(k=2, l=4, N=16, T=16)
@@ -145,6 +152,32 @@ class TestRecordingOracle:
         for q in interleaved:
             oracle.query(q)
         assert [e.inp for e in oracle.transcript.entries] == interleaved
+
+    def test_recording_keeps_no_tracked_object_per_query(self, proto):
+        # the transcript holds bytes and ints in lists and dicts, none of
+        # which the cyclic collector tracks, so its object count does not
+        # grow with the number of recorded queries
+        oracle = self.make(proto)
+        gc.collect()
+        before = len(gc.get_objects())
+        for n in range(10_000):
+            oracle.query(OracleInput((64, 80), n % 2 + 1, n // 2 % 16, n // 32))
+        assert len(oracle.transcript) == 10_000
+        assert len(gc.get_objects()) - before <= 16
+
+    def test_entries_decode_interleaved_vectors(self, proto):
+        oracle = self.make(proto)
+        vecs = [(64, 80), (80, 64)]
+        inputs = [OracleInput(vecs[n % 2], n % 2 + 1, n % 16, n) for n in range(40)]
+        answers = [oracle.query(inp) for inp in inputs]
+        entries = oracle.transcript.entries
+        assert len(entries) == len(inputs)
+        for j, (inp, y) in enumerate(zip(inputs, answers)):
+            assert entries[j].inp == inp and entries[j].y == y
+            assert entries[j].key == encode_input(PARAMS, proto, inp)
+        assert entries[-1].inp == inputs[-1]
+        with pytest.raises(IndexError):
+            entries[len(inputs)]
 
     def test_reprogram_precedence(self, proto):
         oracle = self.make(proto)
@@ -278,3 +311,115 @@ class TestTranscriptSerialization:
         assert derive_seed(7) == derive_seed(7)
         assert derive_seed(7) != derive_seed(8)
         assert derive_seed(b"abc") == derive_seed("abc")
+
+
+# Reference: the JSONL parser as it was when every line became a decoded
+# ``OracleInput`` inside a ``TranscriptEntry``. It returns the entries as
+# (prefix, tail, input, y) tuples.
+
+def reference_from_jsonl(params, protocol, text):
+    entries, vectors = [], {}  # hex strings -> (a_vec, prefix)
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            i, c, y = rec["i"], rec["c"], rec["y"]
+            if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
+                raise ValueError("i, c and y must be integers, y in [0, 2^l)")
+            hexes = tuple(rec["a"])
+            vec = vectors.get(hexes)
+            if vec is None:
+                a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
+                vec = vectors[hexes] = (a_vec, _encode_prefix(params, protocol, a_vec))
+            inp = OracleInput(vec[0], i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
+            if not 1 <= i <= params.k:
+                raise ValueError("repetition index out of range")
+            if not 0 <= c < params.N:
+                raise ValueError("challenge out of range")
+            tail = struct.pack(">II", i, c) + pack_field(protocol.encode_response(inp.z))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"transcript line {n}: {exc!r}") from None
+        entries.append((vec[1], tail, inp, y))
+    return entries
+
+
+FUZZ_GROUP = GroupParams(1019, 509, 4)
+# Schnorr at N = 16, and N = 600 > 509: the two-copy RepeatedSigma
+FUZZ_PROTOCOLS = [(Schnorr(FUZZ_GROUP, 16), 16),
+                  (protocol_for_challenge_space(FUZZ_GROUP, 600), 600)]
+JSON_VALUES = st.sampled_from([None, True, 1.5, -1, 2 ** 70, "", "zz", "0a", [], ["00"], {}])
+
+
+@st.composite
+def jsonl_cases(draw):
+    """(params, protocol, text, mutation): an honest transcript over one or
+    two commitment vectors, then one line cut, byte-flipped or extended, a
+    field given a wrong JSON type or removed, a leading 00 put on a hex
+    field, blank lines added, or left as is."""
+    protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
+    params = FischlinParams(k=draw(st.integers(1, 3)), l=4, N=n, T=n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    oracle = RecordingOracle(params, protocol, derive_seed(rng.randrange(99)))
+    inst = SigmaInstance(FUZZ_GROUP, 80)
+    vecs = [tuple(protocol.commit(inst, rng)[0] for _ in range(params.k))
+            for _ in range(draw(st.integers(1, 2)))]
+    for _ in range(draw(st.integers(1, 8))):
+        c = rng.randrange(n)
+        oracle.query(OracleInput(rng.choice(vecs), rng.randrange(params.k) + 1, c,
+                                 protocol.respond(protocol.commit(inst, rng)[1],
+                                                  SigmaWitness(7), c)))
+    lines = oracle.transcript.to_jsonl(protocol).splitlines()
+    mutation = draw(st.sampled_from(
+        ["none", "cut", "flip", "extend", "type", "missing", "zero", "blank"]))
+    j = draw(st.integers(0, len(lines) - 1))
+    line = lines[j]
+    if mutation == "cut":
+        line = line[:draw(st.integers(0, len(line) - 1))]
+    elif mutation == "flip":
+        pos = draw(st.integers(0, len(line) - 1))
+        line = line[:pos] + draw(st.sampled_from('0189af"{}[],: -.xe')) + line[pos + 1:]
+    elif mutation == "extend":
+        line += draw(st.text(st.sampled_from('0af"{}[],: 1.'), min_size=1, max_size=6))
+    elif mutation in ("type", "missing", "zero"):
+        rec = json.loads(line)
+        key = draw(st.sampled_from(["a", "i", "c", "z", "y"]))
+        if mutation == "type":
+            rec[key] = draw(JSON_VALUES)
+        elif mutation == "missing":
+            del rec[key]
+        elif key == "a":
+            rec["a"][0] = "00" + rec["a"][0]
+        elif isinstance(protocol, RepeatedSigma) and draw(st.booleans()):
+            # inside the first packed element, whose length grows by one
+            z = bytes.fromhex(rec["z"])
+            first = FieldReader(z, "z").field()
+            rec["z"] = (pack_field(b"\0" + first) + z[2 + len(first):]).hex()
+        else:
+            rec["z"] = "00" + rec["z"]
+        line = json.dumps(rec)
+    elif mutation == "blank":
+        line = draw(st.sampled_from(["", " ", "\t"])) + "\n" + line
+    lines[j] = line
+    return params, protocol, "".join(f"{x}\n" for x in lines), mutation
+
+
+class TestTranscriptParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(jsonl_cases())
+    def test_matches_reference(self, case):
+        """The column-wise parser raises the reference's ValueError message
+        or returns its entries; no other exception escapes, and an
+        unchanged transcript round-trips byte for byte."""
+        params, protocol, text, mutation = case
+        try:
+            want = reference_from_jsonl(params, protocol, text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                OracleTranscript.from_jsonl(params, protocol, text)
+            assert str(got.value) == str(exc)
+            return
+        ts = OracleTranscript.from_jsonl(params, protocol, text)
+        assert [(e.prefix, e.tail, e.inp, e.y) for e in ts.entries] == want
+        if mutation == "none":
+            assert ts.to_jsonl(protocol) == text

@@ -296,6 +296,20 @@ class TestSerialization:
         assert deserialize_proof(params, proto, blob) == proof
         assert verify(params, proto, inst, proof, oracle)
 
+    @pytest.mark.parametrize("a", [(4, 16, 64), (4,)], ids=["three", "one"])
+    def test_repeated_protocol_part_count_enforced(self, toy_group, a):
+        # the two-copy protocol's commitments and responses pack exactly two
+        # elements; any other count is malformed, not an invalid proof
+        params = FischlinParams(k=2, l=2, N=600, T=600)
+        proto = protocol_for_challenge_space(toy_group, 600)
+        good = Proof(((4, 16), (4, 16)), (0, 0), ((1, 2), (3, 4)))
+        assert deserialize_proof(params, proto,
+                                 serialize_proof(params, proto, good)) == good
+        for bad in (Proof((a, (4, 16)), (0, 0), ((1, 2), (3, 4))),
+                    Proof(((4, 16), (4, 16)), (0, 0), (a, (3, 4)))):
+            with pytest.raises(ValueError):
+                deserialize_proof(params, proto, serialize_proof(params, proto, bad))
+
 
 FUZZ_GROUP = GroupParams(1019, 509, 4)
 # Schnorr at N = 16, and N = 600 > 509: the two-copy RepeatedSigma
