@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args, config)
     table = None
     if args.table:
-        table = ReprogramTable.from_json(params, _load_json(args.table, "table"))
+        table = ReprogramTable.from_json(params, protocol, _load_json(args.table, "table"))
     oracle = RecordingOracle(params, protocol, _oracle_seed(config, seed),
                              table=table)
     ok = transform.verify(params, protocol, instance, proof, oracle)
@@ -220,11 +220,10 @@ def cmd_simulate(args) -> int:
         return 1
     with open(args.out, "wb") as fh:
         fh.write(transform.serialize_proof(params, protocol, out.proof))
-    table_json = out.table.to_json()
     with open(args.table_out, "w") as fh:
-        json.dump(table_json, fh, indent=2)
+        json.dump(out.table.to_json(), fh, indent=2)
     _emit(args, {"proof": args.out, "table": args.table_out,
-                 "c": list(out.proof.c_vec), "programmed": len(table_json)})
+                 "c": list(out.proof.c_vec), "programmed": len(out.table)})
     return 0
 
 
@@ -254,7 +253,10 @@ def _parse_grid(spec: str) -> dict:
                 items.extend(2 ** e for e in range(_grid_exponent(elo), _grid_exponent(ehi) + 1))
             elif "^" in v:
                 base, exp = v.split("^")
-                items.append(int(base) ** _grid_exponent(int(exp)))
+                try:
+                    items.append(int(base) ** _grid_exponent(int(exp)))
+                except ArithmeticError as exc:  # 0 or a huge base to a negative power
+                    raise ValueError(f"grid value {v!r}: {exc}") from None
             else:
                 items.append(float(v) if "." in v else int(v))
         name = name.strip()

@@ -12,8 +12,9 @@ The encoding is a commitment-vector prefix (k commitments, shared by every
 query of one proof) followed by a short tail (i, c, z). The oracle encodes
 each distinct prefix once and keeps the SHA-256 state after absorbing
 ``seed || prefix``; a query encodes only its tail and hashes it from a copy
-of that midstate. The full key ``prefix || tail`` is built only for
-reprogram-table lookups, whose JSON keeps the full bytes.
+of that midstate. The reprogram table is keyed by ``(prefix, tail)`` as
+well, so no query builds the full key ``prefix || tail``, and its JSON
+writes each commitment vector once, followed by its programmed points.
 
 The transcript is stored column-wise. Each commitment vector is kept once,
 with its prefix bytes and a ``tail -> y`` dict that answers repeated
@@ -218,15 +219,17 @@ class OracleTranscript:
 
     def to_jsonl(self, protocol) -> str:
         """One JSON object per entry; each distinct commitment vector is
-        hex-encoded once, and ``z`` is the tail's canonical response field."""
-        hexes = [[protocol.encode_commitment(a).hex() for a in vec.a_vec]
+        hex-encoded once, and ``z`` is the tail's canonical response field.
+        The bytes are those of ``json.dumps`` of ``{"a", "i", "c", "z",
+        "y"}``, with each vector's text up to ``i`` built once."""
+        heads = ['{"a": ' + json.dumps([protocol.encode_commitment(a).hex()
+                                        for a in vec.a_vec]) + ', "i": '
                  for vec in self.vectors]
-        lines = []
-        for vid, tail, y in zip(self.vids, self.tails, self.ys):
-            i, c = struct.unpack_from(">II", tail)
-            lines.append(json.dumps({"a": hexes[vid], "i": i, "c": c,
-                                     "z": tail[10:].hex(), "y": y}) + "\n")
-        return "".join(lines)
+        unpack = struct.unpack_from
+        return "".join([
+            f'{heads[vid]}{i}, "c": {c}, "z": "{tail[10:].hex()}", "y": {y}}}\n'
+            for vid, tail, y in zip(self.vids, self.tails, self.ys)
+            for i, c in (unpack(">II", tail),)])
 
     @classmethod
     def from_jsonl(cls, params, protocol, text: str) -> "OracleTranscript":
@@ -235,26 +238,44 @@ class OracleTranscript:
         response is re-encoded canonically into its tail."""
         ts = cls()
         vectors: dict[tuple, TranscriptVector] = {}  # hex strings -> vector
+
+        def vector(rec) -> TranscriptVector:
+            hexes = tuple(rec["a"])
+            vec = vectors.get(hexes)
+            if vec is None:
+                a_vec = _decode_commitments(protocol, hexes)
+                vec = vectors[hexes] = ts.vector(
+                    _encode_prefix(params, protocol, a_vec), a_vec, protocol)
+            return vec
+
         for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                i, c, y = rec["i"], rec["c"], rec["y"]
-                if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
-                    raise ValueError("i, c and y must be integers, y in [0, 2^l)")
-                hexes = tuple(rec["a"])
-                vec = vectors.get(hexes)
-                if vec is None:
-                    a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
-                    vec = vectors[hexes] = ts.vector(
-                        _encode_prefix(params, protocol, a_vec), a_vec, protocol)
-                response = protocol.canonical_response(bytes.fromhex(rec["z"]))
-                tail = _encode_tail(params, i, c, response)
+                vec, tail, y = _read_point(params, protocol, json.loads(line), vector)
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"transcript line {n}: {exc!r}") from None
             ts.record(vec, tail, y)
         return ts
+
+
+def _decode_commitments(protocol, hexes) -> tuple:
+    """The commitment vector a list of hex commitment encodings holds."""
+    return tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
+
+
+def _read_point(params, protocol, rec, vector) -> tuple:
+    """(vector(rec), tail, y) of a JSON point record ``{i, c, z, y}``, the
+    record shape of the transcript JSONL and the reprogram table. i, c and
+    y are checked before ``vector`` is called, and the response is
+    re-encoded canonically; a malformed record raises KeyError, TypeError
+    or ValueError."""
+    i, c, y = rec["i"], rec["c"], rec["y"]
+    if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
+        raise ValueError("i, c and y must be integers, y in [0, 2^l)")
+    vec = vector(rec)
+    response = protocol.canonical_response(bytes.fromhex(rec["z"]))
+    return vec, _encode_tail(params, i, c, response), y
 
 
 class TranscriptEntries(Sequence):
@@ -273,32 +294,97 @@ class TranscriptEntries(Sequence):
         return TranscriptEntry(vec.prefix, tail, vec.input(tail), ts.ys[j])
 
 
+def _split_key(params, key: bytes) -> tuple:
+    """(prefix, tail) of a full query encoding, split after its k-th
+    commitment field; ValueError when the key has another tag, k or l, or
+    no well-formed tail."""
+    if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
+        raise ValueError("key does not start with the tag, k and l")
+    reader = FieldReader(key, "table key", 12)
+    for _ in range(params.k):
+        reader.field()
+    end = reader.off
+    reader.u32s(2)
+    reader.field()
+    reader.end()
+    return key[:end], key[end:]
+
+
+def _commitment_hexes(prefix: bytes) -> list:
+    """The hex strings of the commitment fields of a prefix encoding."""
+    reader = FieldReader(prefix, "prefix", 12)
+    return [reader.field().hex() for _ in range(struct.unpack_from(">I", prefix, 4)[0])]
+
+
 @dataclass
 class ReprogramTable:
-    """Point overrides, consulted before the base hash."""
+    """Point overrides, consulted before the base hash; ``overrides`` maps
+    ``(prefix, tail)`` to the programmed value."""
 
     overrides: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.overrides)
 
-    def to_json(self) -> list:
-        return [{"key": k.hex(), "y": y} for k, y in self.overrides.items()]
+    def to_json(self) -> dict:
+        """``{"vectors": [{"a": [hex, ...], "points": [{"i", "c", "z", "y"},
+        ...]}, ...]}``: each commitment vector once, in first-programmed
+        order, with the transcript JSONL's field names."""
+        points: dict[bytes, list] = {}
+        for (prefix, tail), y in self.overrides.items():
+            i, c = struct.unpack_from(">II", tail)
+            points.setdefault(prefix, []).append(
+                {"i": i, "c": c, "z": tail[10:].hex(), "y": y})
+        return {"vectors": [{"a": _commitment_hexes(prefix), "points": pts}
+                            for prefix, pts in points.items()]}
 
     @classmethod
-    def from_json(cls, params, records) -> "ReprogramTable":
-        """Inverse of ``to_json``; raises ValueError naming a malformed record."""
-        if not isinstance(records, list):
-            raise ValueError("reprogram table must be a JSON list")
+    def from_json(cls, params, protocol, obj) -> "ReprogramTable":
+        """Inverse of ``to_json``. A JSON list is read as the earlier format,
+        ``{"key": hex, "y": int}`` records whose key is a full query
+        encoding, split after its k-th commitment field. Raises ValueError
+        naming a malformed record, or one that programs a point already
+        programmed to another value."""
         table = cls()
-        for n, rec in enumerate(records):
+
+        def program(key: tuple, y: int):
+            old = table.overrides.setdefault(key, y)
+            if old != y:
+                raise ValueError(f"point programmed to both {old} and {y}")
+
+        if isinstance(obj, list):
+            prefixes: dict[bytes, bytes] = {}  # one object per distinct prefix
+            for n, rec in enumerate(obj):
+                try:
+                    key, y = bytes.fromhex(rec["key"]), rec["y"]
+                    if type(y) is not int or not 0 <= y < 1 << params.l:
+                        raise ValueError("y must be an integer in [0, 2^l)")
+                    prefix, tail = _split_key(params, key)
+                    program((prefixes.setdefault(prefix, prefix), tail), y)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"table record {n}: {exc!r}") from None
+            return table
+        try:
+            vectors = obj["vectors"]
+            if not isinstance(vectors, list):
+                raise ValueError("'vectors' must be a list")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"reprogram table: {exc!r}") from None
+        for v, rec in enumerate(vectors):
             try:
-                key, y = bytes.fromhex(rec["key"]), rec["y"]
-                if type(y) is not int or not 0 <= y < 1 << params.l:
-                    raise ValueError("y must be an integer in [0, 2^l)")
+                points = rec["points"]
+                if not isinstance(points, list):
+                    raise ValueError("'points' must be a list")
+                prefix = _encode_prefix(params, protocol,
+                                        _decode_commitments(protocol, rec["a"]))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"table record {n}: {exc!r}") from None
-            table.overrides[key] = y
+                raise ValueError(f"table vector {v}: {exc!r}") from None
+            for n, point in enumerate(points):
+                try:
+                    _, tail, y = _read_point(params, protocol, point, lambda _: None)
+                    program((prefix, tail), y)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"table vector {v} point {n}: {exc!r}") from None
         return table
 
 
@@ -359,7 +445,7 @@ class RecordingOracle:
             return y
         overrides = self.table.overrides
         if overrides or self.programmer is not None:
-            key = vec.prefix + tail
+            key = (vec.prefix, tail)
             y = overrides.get(key)
             if y is None and self.programmer is not None:
                 y = self.programmer(inp)
@@ -379,7 +465,7 @@ class RecordingOracle:
         _, vec, tail = self._split(inp)
         if tail in vec.answers:
             raise ReprogramConflict("point already queried")
-        key = vec.prefix + tail
+        key = (vec.prefix, tail)
         old = self.table.overrides.get(key)
         if old is not None and old != value:
             raise ReprogramConflict("point already programmed differently")

@@ -360,7 +360,8 @@ class RepeatedSigma:
         return tuple(self.base.decode_commitment(p) for p in _unpack(data, self.copies))
 
     def encode_response(self, z) -> bytes:
-        return _pack(self.base.encode_response(zi) for zi in z)
+        # the base is Schnorr, whose response codec is encode_int
+        return b"".join([pack_field(encode_int(zi)) for zi in z])
 
     def decode_response(self, data: bytes):
         return tuple(self.base.decode_response(p) for p in _unpack(data, self.copies))

@@ -17,6 +17,7 @@ sum_r (sqrt(q * p_r) + q * p_r / 2) for round maxima p_r.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -38,13 +39,17 @@ _REJECTION_FACTOR = 64
 
 
 class TildeFunction:
-    """Lazily materialized random map (i, c) -> l-bit value."""
+    """Lazily materialized random map (i, c) -> l-bit value.
+
+    ``_mid`` is the SHA-256 state after absorbing the hash seed, from which
+    the zero-cell sampler hashes its candidates without building inputs."""
 
     def __init__(self, seed: bytes, l: int):
         self.seed = seed
         self.l = l
         self.cells: dict[tuple[int, int], int] = {}
         self._hash_seed = b"fischlin-tilde" + seed
+        self._mid = hashlib.sha256(self._hash_seed)
 
     def __call__(self, i: int, c: int) -> int:
         v = self.cells.get((i, c))
@@ -60,10 +65,21 @@ def sample_zero_challenge(tilde: TildeFunction, i: int, n: int, rng) -> int:
     Rejection-samples up to 64 * 2^l uniform candidates, then falls back to
     an exhaustive scan with a uniform choice among the zeros found; both
     stages are exactly uniform over the zero set.
+
+    A candidate is hashed from a copy of the row's SHA-256 state, and it is
+    a zero cell when its digest, read as a 256-bit big-endian number, is
+    below 2^(256 - l): its first l bits are zero, which is ``tilde(i, c) ==
+    0``. Rejected candidates are not cached in ``tilde.cells``.
     """
+    randrange = rng.randrange
+    row = tilde._mid.copy()
+    row.update(struct.pack(">I", i))
+    zero_below = (1 << (256 - tilde.l)).to_bytes(32, "big")
     for _ in range(_REJECTION_FACTOR << tilde.l):
-        c = rng.randrange(n)
-        if tilde(i, c) == 0:
+        c = randrange(n)
+        h = row.copy()
+        h.update(c.to_bytes(4, "big"))
+        if h.digest() < zero_below:
             return c
     zeros = [c for c in range(n) if tilde(i, c) == 0]
     if not zeros:

@@ -7,6 +7,14 @@ from fischlin.sigma import GroupParams, protocol_for_challenge_space
 from fischlin.transform import FischlinParams, Proof, serialize_proof
 
 
+# A full query key for k=2, l=2 (commitments 1 and 2, i=1, c=0, z=0), and
+# reprogram tables in either format that program that point twice, to 0
+# and to 1.
+KEY = "46495331" "00000002" "00000002" "000101" "000102" "00000001" "00000000" "0000"
+LIST_REPEAT = json.dumps([{"key": KEY, "y": 0}, {"key": KEY, "y": 1}])
+GROUPED_REPEAT = json.dumps({"vectors": [{"a": ["01", "02"], "points": [
+    {"i": 1, "c": 0, "z": "", "y": 0}, {"i": 1, "c": 0, "z": "", "y": 1}]}]})
+
 # A k=2, l=2, N=600 proof (the two-copy protocol on the toy group) whose
 # first commitment packs three elements.
 THREE_PART_PROOF = serialize_proof(
@@ -182,6 +190,11 @@ class TestProveVerifyPipeline:
         ("--table", "[5]"),
         ("--table", '[{"key": "00", "y": 4}]'),
         ("--table", '[{"key": "00", "y": "0"}]'),
+        ("--table", LIST_REPEAT),
+        ("--table", GROUPED_REPEAT),
+        ("--table", '[{"key": "4649533100", "y": 0}]'),
+        ("--table", '{"vectors": [{"a": ["01"], "points": []}]}'),
+        ("--table", '{"vectors": {}}'),
         ("--instance", "null"),
         ("--instance", '{"p": "1019", "q": "509", "g": "4", "x": null}'),
         ("--instance", '{"p": [1019], "q": "509", "g": "4", "x": "80"}'),
@@ -196,6 +209,8 @@ class TestProveVerifyPipeline:
     ], ids=["proof-missing", "proof-three-part-commitment", "transcript-null", "transcript-list", "transcript-a-int",
             "transcript-i-str", "transcript-c-float", "transcript-y-range",
             "table-null", "table-int-record", "table-y-range", "table-y-str",
+            "table-list-repeat", "table-grouped-repeat", "table-key-unsplittable",
+            "table-a-length", "table-vectors-object",
             "instance-null", "instance-x-null", "instance-p-list",
             "witness-w-null", "witness-list", "config-list", "config-params-list",
             "config-seed-null", "config-oracle-seed-int", "table-deep",

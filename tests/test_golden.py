@@ -8,6 +8,15 @@ formats (query encoding, proof header, truncated hash, reprogram-table
 JSON, bound-report keys) were folded into one definition each, and for
 the two no-pair steps those of the extractor before its single sorted
 pass; a change here means some output byte changed.
+
+One digest changed on purpose since then: ``simulate`` writes its
+reprogram table grouped by commitment vector (the ``a`` hex list once,
+then ``{i, c, z, y}`` points) instead of a list of full ``{key, y}``
+records. The proof and stdout of that step are unchanged, and
+``verify-table`` replays the new table with its digest unchanged.
+``verify-table-list`` replays the list-format table the earlier
+``simulate`` wrote for the same step (``data/simulate_table_list_format.json``)
+and must give the same stdout and transcript, so the same digest.
 """
 
 import contextlib
@@ -21,6 +30,8 @@ from fischlin.cli import main
 
 GROUP = ["--p", "1019", "--q", "509", "--g", "4"]
 KEYS = ["--instance", "inst.json"]
+LIST_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "simulate_table_list_format.json")
 
 # (step name, argv, files the step writes)
 STEPS = [
@@ -46,6 +57,10 @@ STEPS = [
      ["sim.bin", "table.json"]),
     ("verify-table", ["verify", *KEYS, "--proof", "sim.bin", "--table", "table.json",
                       "--seed", "4", "--record", "sim.jsonl"], ["sim.jsonl"]),
+    # the same replay from the table in its earlier list format; it rewrites
+    # sim.jsonl, which must come out byte-identical
+    ("verify-table-list", ["verify", *KEYS, "--proof", "sim.bin", "--table", LIST_TABLE,
+                           "--seed", "4", "--record", "sim.jsonl"], ["sim.jsonl"]),
     ("bounds-point", ["bounds", "--k", str(2 ** 30), "--l", "14", "--c", "1",
                       "--q", str(2 ** 20)], []),
     # outside the validity region: the chain is not applicable and warns
@@ -74,8 +89,9 @@ EXPECTED = {
     "extract": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
     "verify-record": "47e2b5e31c19ce6d12948bb4eb6d34023adae6ea3b66471536cdfc797544757e",
     "extract-no-pair": "4c7104c435b5ae045823f94cb1abab7c5b48b23aa564b247b9c0037b58980354",
-    "simulate": "6ccf677817e4d5e6a0343135113e142230c333d7d011b0045c6f6d29457044cc",
+    "simulate": "eac323dab1d3824694be7ad7f52aa71909080cb7c344f78cb80a08cdcc32c994",
     "verify-table": "ab815af76207a7e32269b55e21a6fd8aa4fccb606b119e51df21ed92af543f47",
+    "verify-table-list": "ab815af76207a7e32269b55e21a6fd8aa4fccb606b119e51df21ed92af543f47",
     "bounds-point": "8a7e39d33dbb2816aba111968183056a0b0f55210fece39f4b1db39ccea89140",
     "bounds-point-vacuous": "b62fedef14c3f2c74731a79dd69f4b0e920605aa6b0da1eafdb27a6da8d79a90",
     "bounds-grid": "c879ccb70ff387085fa93ba425ecaef32404be8ed71e623c011ad9c6995aa525",
@@ -122,3 +138,7 @@ def test_steps_pinned():
 @pytest.mark.parametrize("step", list(EXPECTED))
 def test_output_unchanged(digests, step):
     assert digests[step] == EXPECTED[step]
+
+
+def test_list_table_replays_like_grouped_table(digests):
+    assert digests["verify-table-list"] == digests["verify-table"]

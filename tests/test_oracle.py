@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from fischlin.oracle import (
     encode_input,
     ro_eval,
 )
+from fischlin.cli import _parse_grid
 from fischlin.sigma import FieldReader, GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
     SigmaWitness, pack_field, protocol_for_challenge_space
 from fischlin.transform import FischlinParams
@@ -31,6 +33,15 @@ KEY = encode_input(PARAMS, Schnorr(GroupParams(1019, 509, 4), 16),
 @pytest.fixture
 def proto(toy_group):
     return Schnorr(toy_group, 16)
+
+
+def table_key(params, protocol, inp):
+    """The reprogram table's ``(prefix, tail)`` key of a query, split from
+    its full encoding."""
+    prefix = _encode_prefix(params, protocol, inp.a_vec)
+    key = encode_input(params, protocol, inp)
+    assert key.startswith(prefix)
+    return prefix, key[len(prefix):]
 
 
 def rand_input(rng, k=2, n=16):
@@ -242,7 +253,7 @@ class TestRecordingOracle:
         inp = OracleInput((64, 80), 1, 3, 17)
         key = encode_input(PARAMS, proto, inp)
         value = (ro_eval(derive_seed(11), key, PARAMS.l) + 1) % 16
-        oracle = self.make(proto, table=ReprogramTable({key: value}))
+        oracle = self.make(proto, table=ReprogramTable({table_key(PARAMS, proto, inp): value}))
         assert oracle.programmer is None
         assert oracle.query(inp) == value
         assert oracle.transcript.entries[0].key == key
@@ -262,8 +273,8 @@ class TestRecordingOracle:
         a = OracleInput((64, 80), 1, 0, 1)
         b = OracleInput((64, 80), 2, 0, 1)
         assert oracle.query(a) == 3
-        assert oracle.encode(a) in oracle.table.overrides
-        assert oracle.encode(b) not in oracle.table.overrides
+        assert table_key(PARAMS, proto, a) in oracle.table.overrides
+        assert table_key(PARAMS, proto, b) not in oracle.table.overrides
         oracle.query(b)
 
     def test_zero_predicate_matches_leading_bits(self):
@@ -300,17 +311,83 @@ class TestTranscriptSerialization:
         oracle = RecordingOracle(PARAMS, proto, derive_seed(44))
         inp = OracleInput((64, 80), 1, 3, 17)
         oracle.reprogram(inp, 0)
-        [rec] = oracle.table.to_json()
-        assert bytes.fromhex(rec["key"]) == oracle.encode(inp)
-        assert rec["y"] == 0
-        back = ReprogramTable.from_json(PARAMS, oracle.table.to_json())
+        assert oracle.table.to_json() == {"vectors": [{
+            "a": [proto.encode_commitment(a).hex() for a in inp.a_vec],
+            "points": [{"i": 1, "c": 3, "z": proto.encode_response(17).hex(), "y": 0}]}]}
+        back = ReprogramTable.from_json(PARAMS, proto, oracle.table.to_json())
+        assert back.overrides == oracle.table.overrides == {table_key(PARAMS, proto, inp): 0}
+
+    def test_jsonl_matches_reference_writer(self, toy_group):
+        # the two-copy protocol, two commitment vectors queried in turn
+        params = FischlinParams(k=3, l=4, N=600, T=600)
+        protocol = protocol_for_challenge_space(toy_group, 600)
+        oracle = RecordingOracle(params, protocol, derive_seed(45))
+        rng = random.Random(18)
+        inst = SigmaInstance(toy_group, 80)
+        vecs = [tuple(protocol.commit(inst, rng)[0] for _ in range(3)) for _ in range(2)]
+        for n in range(40):
+            oracle.query(OracleInput(vecs[n % 2], rng.randrange(3) + 1, rng.randrange(600),
+                                     (rng.randrange(509), rng.randrange(509))))
+        ts = oracle.transcript
+        assert len(ts.vectors) == 2
+        assert ts.to_jsonl(protocol) == reference_to_jsonl(ts, protocol)
+
+    def test_table_reads_list_format(self, proto):
+        oracle = RecordingOracle(PARAMS, proto, derive_seed(44))
+        inp = OracleInput((64, 80), 2, 5, 300)
+        oracle.reprogram(inp, 7)
+        records = [{"key": encode_input(PARAMS, proto, inp).hex(), "y": 7}]
+        back = ReprogramTable.from_json(PARAMS, proto, records)
         assert back.overrides == oracle.table.overrides
+
+    @pytest.mark.parametrize("key", [
+        KEY[:-1], KEY + b"\0", KEY[:20], b"", b"FIS2" + KEY[4:],
+        KEY[:8] + struct.pack(">I", 5) + KEY[12:]],
+        ids=["cut-tail", "extended", "cut-prefix", "empty", "tag", "l"])
+    def test_table_list_key_must_split(self, key):
+        records = [{"key": key.hex(), "y": 0}]
+        with pytest.raises(ValueError, match="table record 0"):
+            ReprogramTable.from_json(PARAMS, FUZZ_PROTOCOLS[0][0], records)
+
+    def test_table_repeated_point(self, proto):
+        inp = OracleInput((64, 80), 2, 5, 300)
+        listed = [{"key": encode_input(PARAMS, proto, inp).hex(), "y": 3}]
+        grouped = {"vectors": [{"a": ["40", "50"], "points": [
+            {"i": 2, "c": 5, "z": proto.encode_response(300).hex(), "y": 3}]}]}
+        point = grouped["vectors"][0]["points"][0]
+        # an equal repeat is accepted, as reprogram accepts it
+        for obj in (listed * 2, {"vectors": [{"a": ["40", "50"], "points": [point] * 2}]}):
+            assert ReprogramTable.from_json(PARAMS, proto, obj).overrides == \
+                {table_key(PARAMS, proto, inp): 3}
+        # the same point to another value is named, in either format; in
+        # the grouped format the response may also be a non-canonical hex
+        for obj, where in (
+                (listed + [dict(listed[0], y=4)], "table record 1"),
+                ({"vectors": [grouped["vectors"][0], {
+                    "a": ["40", "0050"], "points": [dict(point, y=4, z="00" + point["z"])]}]},
+                 "table vector 1 point 0")):
+            with pytest.raises(ValueError, match=where + ".*programmed to both 3 and 4"):
+                ReprogramTable.from_json(PARAMS, proto, obj)
 
     def test_derive_seed_forms(self):
         assert len(derive_seed(7)) == 32
         assert derive_seed(7) == derive_seed(7)
         assert derive_seed(7) != derive_seed(8)
         assert derive_seed(b"abc") == derive_seed("abc")
+
+
+# Reference: the JSONL writer as it was before each line was built from a
+# per-vector head string, with one ``json.dumps`` per line.
+
+def reference_to_jsonl(ts, protocol):
+    hexes = [[protocol.encode_commitment(a).hex() for a in vec.a_vec]
+             for vec in ts.vectors]
+    lines = []
+    for vid, tail, y in zip(ts.vids, ts.tails, ts.ys):
+        i, c = struct.unpack_from(">II", tail)
+        lines.append(json.dumps({"a": hexes[vid], "i": i, "c": c,
+                                 "z": tail[10:].hex(), "y": y}) + "\n")
+    return "".join(lines)
 
 
 # Reference: the JSONL parser as it was when every line became a decoded
@@ -423,3 +500,132 @@ class TestTranscriptParserFuzz:
         assert [(e.prefix, e.tail, e.inp, e.y) for e in ts.entries] == want
         if mutation == "none":
             assert ts.to_jsonl(protocol) == text
+
+
+@st.composite
+def table_cases(draw):
+    """(params, protocol, table, obj, text, mutation): a reprogram table
+    over one or two commitment vectors, written in the grouped or the list
+    format, then its JSON text cut, flipped or extended, a field given a
+    wrong JSON type, removed or made non-hex, a key or commitment list made
+    unsplittable, a point repeated with the same or another value, or left
+    as is."""
+    protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
+    params = FischlinParams(k=draw(st.integers(1, 3)), l=4, N=n, T=n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    oracle = RecordingOracle(params, protocol, derive_seed(rng.randrange(99)))
+    inst = SigmaInstance(FUZZ_GROUP, 80)
+    vecs = [tuple(protocol.commit(inst, rng)[0] for _ in range(params.k))
+            for _ in range(draw(st.integers(1, 2)))]
+    for _ in range(draw(st.integers(1, 6))):
+        c = rng.randrange(n)
+        z = protocol.respond(protocol.commit(inst, rng)[1], SigmaWitness(7), c)
+        oracle.reprogram(OracleInput(rng.choice(vecs), rng.randrange(params.k) + 1, c, z),
+                         rng.randrange(16))
+    table = oracle.table
+    listed = draw(st.booleans())
+    if listed:
+        obj = [{"key": (p + t).hex(), "y": y} for (p, t), y in table.overrides.items()]
+        recs = obj
+    else:
+        obj = table.to_json()
+        recs = [pt for vec in obj["vectors"] for pt in vec["points"]]
+    mutation = draw(st.sampled_from(
+        ["none", "cut", "flip", "extend", "type", "missing", "nonhex", "split",
+         "repeat", "repeat-other"]))
+    rec = draw(st.sampled_from(recs))
+    fields = ["key", "y"] if listed else ["i", "c", "z", "y"]
+    if mutation in ("type", "missing", "nonhex"):
+        target = draw(st.sampled_from([rec, obj] if listed else [rec, *obj["vectors"], obj]))
+        if isinstance(target, list):  # the list itself: replace a record
+            target[draw(st.integers(0, len(target) - 1))] = draw(JSON_VALUES)
+        else:
+            names = fields if target is rec else list(target)
+            name = draw(st.sampled_from(names))
+            if mutation == "type":
+                target[name] = draw(JSON_VALUES)
+            elif mutation == "missing":
+                del target[name]
+            elif name in ("key", "z"):
+                target[name] = target[name] + "g"
+            elif name == "a":
+                target["a"] = ["0x"] + target["a"][1:]
+    elif mutation == "split":
+        if listed:
+            key = rec["key"]
+            rec["key"] = key[:2 * draw(st.integers(0, len(key) // 2 - 1))]
+        else:
+            vec = obj["vectors"][0]
+            vec["a"] = vec["a"][:-1] if draw(st.booleans()) else vec["a"] + vec["a"][:1]
+    elif mutation.startswith("repeat"):
+        copy = dict(rec, y=(rec["y"] + (mutation == "repeat-other")) % 16)
+        if listed:
+            obj.append(copy)
+        else:
+            next(v for v in obj["vectors"] if any(p is rec for p in v["points"]))[
+                "points"].append(copy)
+    text = json.dumps(obj)
+    if mutation == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif mutation == "flip":
+        pos = draw(st.integers(0, len(text) - 1))
+        text = text[:pos] + draw(st.sampled_from('0189af"{}[],: -.xeg')) + text[pos + 1:]
+    elif mutation == "extend":
+        text += draw(st.text(st.sampled_from('0af"{}[],: 1.'), min_size=1, max_size=6))
+    return params, protocol, table, listed, text, mutation
+
+
+class TestTableParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(table_cases())
+    def test_only_value_error(self, case):
+        """``from_json`` returns a table or raises ValueError, with a small
+        bounded peak allocation; an unchanged table of either format reads
+        back to the same overrides, a point repeated with another value is
+        rejected, and one repeated with its own value is accepted."""
+        params, protocol, table, listed, text, mutation = case
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            return
+        tracemalloc.start()
+        try:
+            back = ReprogramTable.from_json(params, protocol, obj)
+        except ValueError:
+            back = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        if mutation in ("none", "repeat"):
+            assert back is not None and back.overrides == table.overrides
+            if mutation == "none" and not listed:
+                assert back.to_json() == obj
+        elif mutation in ("repeat-other", "split"):
+            assert back is None
+
+
+GRID_PIECES = st.sampled_from(
+    ["k", "l", "c", "z", "=", ";", ",", "^", "..", "2", "0", "1", "-1", "1023", "1024",
+     "2^3", "2^-2", "0^-1", "9" * 400, ".", "1.5", "e", " ", "x", ""])
+
+
+class TestGridParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(st.sampled_from("kclz=;,^.-0123456789 ex"), max_size=24),
+                     st.lists(GRID_PIECES, max_size=12).map("".join)))
+    def test_only_value_error(self, spec):
+        """``_parse_grid`` returns k, l and c lists of numbers, k and l as
+        integers, or raises ValueError, with a bounded peak allocation."""
+        tracemalloc.start()
+        try:
+            grid = _parse_grid(spec)
+        except ValueError:
+            return
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 8 << 20
+        assert set(grid) <= {"k", "l", "c"}
+        for name, values in grid.items():
+            assert all(type(v) in ((int,) if name != "c" else (int, float)) for v in values)

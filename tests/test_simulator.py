@@ -3,10 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from fischlin.oracle import OracleInput, RecordingOracle, ReprogramConflict, \
-    decode_input, derive_seed
+    _encode_prefix, decode_input, derive_seed
 from fischlin.sigma import Schnorr, SigmaInstance, keygen, \
     protocol_for_challenge_space
 from fischlin.simulator import (
@@ -57,8 +59,8 @@ class TestSimulate:
         inst = SigmaInstance(toy_group, 80)
         proto, oracle = fresh(toy_group, 5)
         out = simulate(PARAMS, proto, inst, oracle, random.Random(5))
-        for key in oracle.table.overrides:
-            inp = decode_input(PARAMS, proto, key)
+        for prefix, tail in oracle.table.overrides:
+            inp = decode_input(PARAMS, proto, prefix + tail)
             assert inp.a_vec == out.proof.a_vec
             assert proto.verify(inst, inp.a_vec[inp.i - 1], inp.c, inp.z)
 
@@ -70,13 +72,13 @@ class TestSimulate:
         out = simulate(PARAMS, proto, inst, oracle, random.Random(6))
         cells = [
             (inp.i, inp.c)
-            for inp in (decode_input(PARAMS, proto, key)
-                        for key in oracle.table.overrides)
+            for inp in (decode_input(PARAMS, proto, prefix + tail)
+                        for prefix, tail in oracle.table.overrides)
         ]
         assert len(cells) == len(set(cells))
         for (i, c), y in [((inp.i, inp.c), y) for inp, y in
-                          ((decode_input(PARAMS, proto, k), v)
-                           for k, v in oracle.table.overrides.items())]:
+                          ((decode_input(PARAMS, proto, prefix + tail), v)
+                           for (prefix, tail), v in oracle.table.overrides.items())]:
             assert y == out.tilde(i, c)
 
     def test_proof_points_programmed_to_zero(self, toy_group):
@@ -86,7 +88,9 @@ class TestSimulate:
         for i in range(1, PARAMS.k + 1):
             inp = OracleInput(out.proof.a_vec, i, out.proof.c_vec[i - 1],
                               out.proof.z_vec[i - 1])
-            assert oracle.table.overrides[oracle.encode(inp)] == 0
+            prefix = _encode_prefix(PARAMS, proto, inp.a_vec)
+            key = oracle.encode(inp)
+            assert oracle.table.overrides[(prefix, key[len(prefix):])] == 0
             assert out.tilde(i, out.proof.c_vec[i - 1]) == 0
 
     def test_distinguisher_queries_materialize_lazily(self, toy_group):
@@ -128,7 +132,43 @@ class TestSimulate:
             oracle.reprogram(inp, 1)
 
 
+# Reference: the zero-cell sampler as it was when every candidate went
+# through ``TildeFunction.__call__`` and its cache.
+
+def reference_sample_zero_challenge(tilde, i, n, rng, rejection_factor):
+    for _ in range(rejection_factor << tilde.l):
+        c = rng.randrange(n)
+        if tilde(i, c) == 0:
+            return c
+    zeros = [c for c in range(n) if tilde(i, c) == 0]
+    if not zeros:
+        raise Abort(f"repetition {i}: no zero cell among {n} challenges")
+    return zeros[rng.randrange(len(zeros))]
+
+
 class TestZeroCellSampling:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.binary(min_size=32, max_size=32), l=st.integers(1, 10),
+           n=st.integers(2, 6000), i=st.integers(1, 2 ** 20),
+           rng_seed=st.integers(0, 2 ** 64), factor=st.sampled_from([64, 1, 0]))
+    def test_matches_reference(self, seed, l, n, i, rng_seed, factor):
+        """The midstate sampler returns the reference's challenge, or both
+        abort, and leaves the rng in the same state."""
+        import fischlin.simulator as sim
+        results = []
+        for sample in (sample_zero_challenge,
+                       lambda *a: reference_sample_zero_challenge(*a, factor)):
+            rng = random.Random(rng_seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sim, "_REJECTION_FACTOR", factor)
+                try:
+                    got = sample(TildeFunction(seed, l), i, n, rng)
+                except Abort as exc:
+                    got = ("abort", str(exc))
+            results.append((got, rng.getstate()))
+        assert results[0] == results[1]
+
+
     def test_uniform_over_zero_cells(self):
         # fix one tilde row, sample 10^4 challenges, chi-square over the
         # zero set
