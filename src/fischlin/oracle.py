@@ -294,20 +294,25 @@ class TranscriptEntries(Sequence):
         return TranscriptEntry(vec.prefix, tail, vec.input(tail), ts.ys[j])
 
 
-def _split_key(params, key: bytes) -> tuple:
+def _split_key(params, key: bytes, last: bytes) -> tuple:
     """(prefix, tail) of a full query encoding, split after its k-th
     commitment field; ValueError when the key has another tag, k or l, or
-    no well-formed tail."""
-    if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
-        raise ValueError("key does not start with the tag, k and l")
-    reader = FieldReader(key, "table key", 12)
-    for _ in range(params.k):
-        reader.field()
-    end = reader.off
+    no well-formed tail. ``last`` is the prefix of an earlier key: a key
+    that starts with it shares it, unread, since a prefix delimits itself."""
+    if last and key.startswith(last):
+        prefix = last
+    else:
+        if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
+            raise ValueError("key does not start with the tag, k and l")
+        reader = FieldReader(key, "table key", 12)
+        for _ in range(params.k):
+            reader.field()
+        prefix = key[:reader.off]
+    reader = FieldReader(key, "table key", len(prefix))
     reader.u32s(2)
     reader.field()
     reader.end()
-    return key[:end], key[end:]
+    return prefix, key[len(prefix):]
 
 
 def _commitment_hexes(prefix: bytes) -> list:
@@ -353,14 +358,14 @@ class ReprogramTable:
                 raise ValueError(f"point programmed to both {old} and {y}")
 
         if isinstance(obj, list):
-            prefixes: dict[bytes, bytes] = {}  # one object per distinct prefix
+            prefix = b""
             for n, rec in enumerate(obj):
                 try:
                     key, y = bytes.fromhex(rec["key"]), rec["y"]
                     if type(y) is not int or not 0 <= y < 1 << params.l:
                         raise ValueError("y must be an integer in [0, 2^l)")
-                    prefix, tail = _split_key(params, key)
-                    program((prefixes.setdefault(prefix, prefix), tail), y)
+                    prefix, tail = _split_key(params, key, prefix)
+                    program((prefix, tail), y)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table record {n}: {exc!r}") from None
             return table
