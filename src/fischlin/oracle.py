@@ -369,12 +369,10 @@ class ReprogramTable:
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table record {n}: {exc!r}") from None
             return table
-        try:
-            vectors = obj["vectors"]
-            if not isinstance(vectors, list):
-                raise ValueError("'vectors' must be a list")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"reprogram table: {exc!r}") from None
+        vectors = obj.get("vectors") if isinstance(obj, dict) else None
+        if not isinstance(vectors, list):
+            raise ValueError("reprogram table must be a JSON list or an object "
+                             "with a 'vectors' list")
         for v, rec in enumerate(vectors):
             try:
                 points = rec["points"]
