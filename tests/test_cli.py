@@ -1,6 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fischlin.cli import _parse_grid, main
 from fischlin.sigma import GroupParams, protocol_for_challenge_space
@@ -195,6 +198,7 @@ class TestProveVerifyPipeline:
         ("--table", '[{"key": "4649533100", "y": 0}]'),
         ("--table", '{"vectors": [{"a": ["01"], "points": []}]}'),
         ("--table", '{"vectors": {}}'),
+        ("--table", '{"vectors": [{"a": ["01", "02"], "points": 5}]}'),
         ("--instance", "null"),
         ("--instance", '{"p": "1019", "q": "509", "g": "4", "x": null}'),
         ("--instance", '{"p": [1019], "q": "509", "g": "4", "x": "80"}'),
@@ -210,7 +214,7 @@ class TestProveVerifyPipeline:
             "transcript-i-str", "transcript-c-float", "transcript-y-range",
             "table-null", "table-int-record", "table-y-range", "table-y-str",
             "table-list-repeat", "table-grouped-repeat", "table-key-unsplittable",
-            "table-a-length", "table-vectors-object",
+            "table-a-length", "table-vectors-object", "table-points-int",
             "instance-null", "instance-x-null", "instance-p-list",
             "witness-w-null", "witness-list", "config-list", "config-params-list",
             "config-seed-null", "config-oracle-seed-int", "table-deep",
@@ -326,9 +330,12 @@ class TestBoundsPlanLab:
         ["--grid", "k=2.5;l=14;c=1", "--all-points"],
         ["--grid", "k=4;l=1.5;c=1"],
         ["--grid", "k=4;l=14;c=1;z=3"],
+        # 0, or a base beyond the float range, to a negative power
+        ["--grid", "k=0^-1;l=14;c=1"],
+        ["--grid", "k=4;l=14;c=" + "9" * 400 + "^-1"],
     ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow", "point-q-overflow",
             "point-q-square-rounds-up", "grid-k-fraction", "grid-l-fraction",
-            "grid-unknown-name"])
+            "grid-unknown-name", "grid-zero-negative-power", "grid-huge-negative-power"])
     def test_bounds_out_of_range_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2
@@ -380,3 +387,41 @@ class TestBoundsPlanLab:
         assert code == 0
         assert "\n" not in out.strip()
         json.loads(out)
+
+
+# Grid values: small bases (0 included), exponents on both sides of the
+# +-1024 limit, and malformed or huge numbers, as B, B^E, A..B and 2^A..2^B.
+GRID_BASES = st.one_of(st.integers(-2, 12).map(str),
+                       st.sampled_from(["", "x", "1.5", "1e3", "9" * 400, "-"]))
+GRID_EXPONENTS = st.one_of(st.integers(-3, 12), st.integers(-1100, 1100)).map(str)
+GRID_VALUES = st.one_of(
+    GRID_BASES,
+    st.tuples(GRID_BASES, st.one_of(GRID_EXPONENTS, GRID_BASES)).map("^".join),
+    st.tuples(GRID_BASES, GRID_BASES).map("..".join),
+    st.tuples(GRID_BASES, GRID_EXPONENTS, GRID_BASES, GRID_EXPONENTS).map(
+        lambda t: f"{t[0]}^{t[1]}..{t[2]}^{t[3]}"))
+GRID_SPECS = st.one_of(
+    st.text(st.sampled_from("kclz=;,^.-0123456789 ex"), max_size=24),
+    st.lists(st.tuples(st.sampled_from(["k", "l", "c", "z", ""]),
+                       st.lists(GRID_VALUES, min_size=1, max_size=3)).map(
+        lambda t: t[0] + "=" + ",".join(t[1])), max_size=3).map(";".join))
+
+
+class TestGridParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(GRID_SPECS)
+    def test_only_value_error(self, spec):
+        """``_parse_grid`` returns k, l and c lists of numbers, k and l as
+        integers, or raises ValueError, with a bounded peak allocation."""
+        tracemalloc.start()
+        try:
+            grid = _parse_grid(spec)
+        except ValueError:
+            grid = {}
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert set(grid) <= {"k", "l", "c"}
+        for name, values in grid.items():
+            assert all(type(v) in ((int,) if name != "c" else (int, float)) for v in values)
