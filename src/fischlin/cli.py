@@ -221,7 +221,7 @@ def cmd_simulate(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(transform.serialize_proof(params, protocol, out.proof))
     with open(args.table_out, "w") as fh:
-        json.dump(out.table.to_json(), fh, indent=2)
+        out.table.write_json(fh)
     _emit(args, {"proof": args.out, "table": args.table_out,
                  "c": list(out.proof.c_vec), "programmed": len(out.table)})
     return 0

@@ -16,13 +16,17 @@ of that midstate. The reprogram table is keyed by ``(prefix, tail)`` as
 well, so no query builds the full key ``prefix || tail``, and its JSON
 writes each commitment vector once, followed by its programmed points.
 
+The prover grinds a repetition in one ``RecordingOracle.grind`` loop over
+the protocol's walk of encoded responses, which looks the midstate up once
+and makes no ``OracleInput`` per attempt; all other callers use ``query``.
+
 The transcript is stored column-wise. Each commitment vector is kept once,
 with its prefix bytes and a ``tail -> y`` dict that answers repeated
 queries; in record order there are parallel lists of tails, answers and
 vector numbers. Recording a query therefore adds only bytes and ints, none
 of which the cyclic garbage collector tracks, and costs the same time and
-memory whatever k is. ``OracleTranscript.entries`` is a read-only view
-that decodes a structured entry only when one is read.
+memory whatever k is. ``TranscriptVector.input`` decodes a recorded tail
+back into its structured query.
 """
 
 from __future__ import annotations
@@ -30,15 +34,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .sigma import FieldReader, pack_field
 
 __all__ = [
     "OracleInput",
-    "TranscriptEntry",
-    "TranscriptEntries",
     "TranscriptVector",
     "OracleTranscript",
     "ReprogramTable",
@@ -68,30 +69,16 @@ class OracleInput:
     z: object
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptEntry:
-    """A recorded query: its encoding as the shared commitment-vector
-    prefix and its own tail, the structured input and the answer."""
-
-    prefix: bytes
-    tail: bytes
-    inp: OracleInput
-    y: int
-
-    @property
-    def key(self) -> bytes:
-        """The canonical encoding ``encode_input(inp)``."""
-        return self.prefix + self.tail
-
-
-def _encode_prefix(params, protocol, a_vec) -> bytes:
-    """Tag, u32 k, u32 l, then the k length-prefixed commitment encodings."""
+def _encode_prefix(params, protocol, a_vec, encode=None) -> bytes:
+    """Tag, u32 k, u32 l, then the k length-prefixed commitment encodings,
+    each made by ``encode`` (``protocol.encode_commitment`` by default)."""
     if len(a_vec) != params.k:
         raise ValueError("commitment vector length != k")
+    encode = encode or protocol.encode_commitment
     out = bytearray(_TAG)
     out += struct.pack(">II", params.k, params.l)
     for a in a_vec:
-        out += pack_field(protocol.encode_commitment(a))
+        out += pack_field(encode(a))
     return bytes(out)
 
 
@@ -203,10 +190,6 @@ class OracleTranscript:
         self.ys.append(y)
         self.vids.append(vec.vid)
 
-    @property
-    def entries(self) -> "TranscriptEntries":
-        return TranscriptEntries(self)
-
     def tails_by_vector(self) -> list[list[bytes]]:
         """Each vector's tails in record order, repeats included, indexed
         by vector number."""
@@ -243,7 +226,7 @@ class OracleTranscript:
             hexes = tuple(rec["a"])
             vec = vectors.get(hexes)
             if vec is None:
-                a_vec = _decode_commitments(protocol, hexes)
+                a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
                 vec = vectors[hexes] = ts.vector(
                     _encode_prefix(params, protocol, a_vec), a_vec, protocol)
             return vec
@@ -259,11 +242,6 @@ class OracleTranscript:
         return ts
 
 
-def _decode_commitments(protocol, hexes) -> tuple:
-    """The commitment vector a list of hex commitment encodings holds."""
-    return tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
-
-
 def _read_point(params, protocol, rec, vector) -> tuple:
     """(vector(rec), tail, y) of a JSON point record ``{i, c, z, y}``, the
     record shape of the transcript JSONL and the reprogram table. i, c and
@@ -276,22 +254,6 @@ def _read_point(params, protocol, rec, vector) -> tuple:
     vec = vector(rec)
     response = protocol.canonical_response(bytes.fromhex(rec["z"]))
     return vec, _encode_tail(params, i, c, response), y
-
-
-class TranscriptEntries(Sequence):
-    """Read-only view of a transcript's entries in record order; each
-    ``TranscriptEntry`` is decoded when it is read."""
-
-    def __init__(self, transcript: OracleTranscript):
-        self._ts = transcript
-
-    def __len__(self):
-        return len(self._ts.tails)
-
-    def __getitem__(self, j: int) -> TranscriptEntry:
-        ts = self._ts
-        vec, tail = ts.vectors[ts.vids[j]], ts.tails[j]
-        return TranscriptEntry(vec.prefix, tail, vec.input(tail), ts.ys[j])
 
 
 def _split_key(params, key: bytes, last: bytes) -> tuple:
@@ -331,17 +293,40 @@ class ReprogramTable:
     def __len__(self):
         return len(self.overrides)
 
+    def _layout(self, points) -> dict:
+        """``to_json``'s object, with each vector's point list made by
+        ``points`` from that vector's keys in programmed order."""
+        groups: dict[bytes, list] = {}
+        for key in self.overrides:
+            groups.setdefault(key[0], []).append(key)
+        return {"vectors": [{"a": _commitment_hexes(prefix), "points": points(keys)}
+                            for prefix, keys in groups.items()]}
+
+    def _point(self, key: tuple) -> dict:
+        i, c = struct.unpack_from(">II", key[1])
+        return {"i": i, "c": c, "z": key[1][10:].hex(), "y": self.overrides[key]}
+
     def to_json(self) -> dict:
         """``{"vectors": [{"a": [hex, ...], "points": [{"i", "c", "z", "y"},
         ...]}, ...]}``: each commitment vector once, in first-programmed
         order, with the transcript JSONL's field names."""
-        points: dict[bytes, list] = {}
-        for (prefix, tail), y in self.overrides.items():
-            i, c = struct.unpack_from(">II", tail)
-            points.setdefault(prefix, []).append(
-                {"i": i, "c": c, "z": tail[10:].hex(), "y": y})
-        return {"vectors": [{"a": _commitment_hexes(prefix), "points": pts}
-                            for prefix, pts in points.items()]}
+        return self._layout(lambda keys: [self._point(key) for key in keys])
+
+    def write_json(self, fh):
+        """Write the text of ``json.dump(self.to_json(), fh, indent=2)``,
+        making at most 64 points' dicts at a time: the layout is dumped with
+        a ``null`` standing for each vector's points, and the points are
+        dumped in its place, re-indented. No hex string holds ``null``."""
+        groups = []
+        pieces = json.dumps(self._layout(lambda keys: groups.append(keys) or [None]),
+                            indent=2).split("null")
+        fh.write(pieces[0])
+        for keys, before, after in zip(groups, pieces, pieces[1:]):
+            pad = "\n" + " " * (len(before) - before.rfind("\n") - 1)
+            for n in range(0, len(keys), 64):
+                text = json.dumps([self._point(key) for key in keys[n:n + 64]], indent=2)
+                fh.write(("," + pad if n else "") + text[4:-2].replace("\n  ", pad))
+            fh.write(after)
 
     @classmethod
     def from_json(cls, params, protocol, obj) -> "ReprogramTable":
@@ -378,8 +363,8 @@ class ReprogramTable:
                 points = rec["points"]
                 if not isinstance(points, list):
                     raise ValueError("'points' must be a list")
-                prefix = _encode_prefix(params, protocol,
-                                        _decode_commitments(protocol, rec["a"]))
+                prefix = _encode_prefix(params, protocol, rec["a"], lambda h:
+                                        protocol.canonical_commitment(bytes.fromhex(h)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"table vector {v}: {exc!r}") from None
             for n, point in enumerate(points):
@@ -419,10 +404,9 @@ class RecordingOracle:
         self._contexts: dict[tuple, tuple] = {}
         self._last = (object(), None)
 
-    def _split(self, inp: OracleInput) -> tuple:
-        """(midstate, transcript vector, tail) of a query; only the tail is
-        encoded per query."""
-        a_vec = inp.a_vec
+    def _context(self, a_vec: tuple) -> tuple:
+        """(midstate, transcript vector) of a commitment vector, whose
+        prefix is encoded once."""
         last_vec, ctx = self._last
         if a_vec is not last_vec:
             ctx = self._contexts.get(a_vec)
@@ -432,7 +416,12 @@ class RecordingOracle:
                     hashlib.sha256(self.seed + prefix),
                     self.transcript.vector(prefix, a_vec, self.protocol))
             self._last = (a_vec, ctx)
-        mid, vec = ctx
+        return ctx
+
+    def _split(self, inp: OracleInput) -> tuple:
+        """(midstate, transcript vector, tail) of a query; only the tail is
+        encoded per query."""
+        mid, vec = self._context(inp.a_vec)
         return mid, vec, _encode_tail(self.params, inp.i, inp.c,
                                       self.protocol.encode_response(inp.z))
 
@@ -460,6 +449,40 @@ class RecordingOracle:
             y = _truncate(h.digest(), self.params.l)
         self.transcript.record(vec, tail, y)
         return y
+
+    def grind(self, a_vec: tuple, i: int, attempts: int, walk):
+        """The first ``(c, z)`` for c = 0 .. attempts - 1 whose query
+        ``(a_vec, i, c, z)`` answers 0, or None; ``walk`` yields each
+        attempt's ``(z, encode_response(z))``. Answers and records are those
+        of ``query`` on each attempt in turn, which answers every attempt
+        when a table or a programmer may override the hash."""
+        if not 1 <= i <= self.params.k:
+            raise ValueError("repetition index out of range")
+        if attempts > self.params.N:
+            raise ValueError("challenge out of range")
+        if self.table.overrides or self.programmer is not None:
+            for c, (z, _) in zip(range(attempts), walk):
+                if self.query(OracleInput(a_vec, i, c, z)) == 0:
+                    return c, z
+            return None
+        mid, vec = self._context(a_vec)
+        answers, vid, l = vec.answers, vec.vid, self.params.l
+        ts = self.transcript
+        tails, ys, vids = ts.tails, ts.ys, ts.vids
+        head = struct.Struct(">II").pack
+        for c, (z, enc) in zip(range(attempts), walk):
+            tail = head(i, c) + pack_field(enc)
+            y = answers.get(tail)
+            if y is None:
+                h = mid.copy()
+                h.update(tail)
+                answers[tail] = y = _truncate(h.digest(), l)
+                tails.append(tail)
+                ys.append(y)
+                vids.append(vid)
+            if y == 0:
+                return c, z
+        return None
 
     def reprogram(self, inp: OracleInput, value: int):
         """Install an override; fails if the point is already fixed."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import islice, product
 
 __all__ = [
     "GroupParams",
@@ -201,12 +200,12 @@ class Schnorr:
         return (state.r + c * witness.w) % self.group.q
 
     def responses(self, state: CommitState, witness: SigmaWitness):
-        """``respond(state, witness, c)`` for c = 0, 1, ... in turn, each
-        one step z += w mod q from the last."""
+        """``(z, encode_response(z))`` for z = ``respond(state, witness, c)``
+        and c = 0, 1, ... in turn, each z one step z += w mod q from the last."""
         q, w = self.group.q, witness.w
         z = state.r % q
         for _ in range(self.challenge_space):
-            yield z
+            yield z, encode_int(z)
             z = (z + w) % q
 
     def verify(self, instance: SigmaInstance, a: int, c: int, z: int) -> bool:
@@ -258,6 +257,7 @@ class Schnorr:
     def canonical_response(self, data: bytes) -> bytes:
         """``encode_response(decode_response(data))``, without decoding."""
         return data.lstrip(b"\0")
+    canonical_commitment = canonical_response  # both codecs are encode_int
 
 
 def _digits(c: int, base: int, count: int) -> tuple[int, ...]:
@@ -316,12 +316,29 @@ class RepeatedSigma:
                      for st, d in zip(state.r, ds))
 
     def responses(self, state, witness):
-        """``respond(state, witness, c)`` for c = 0, 1, ... in turn: the
-        product of the base walks runs through the digit vectors most
-        significant first, which is increasing c."""
-        n = self.challenge_space
-        walks = (islice(self.base.responses(st, witness), n) for st in state.r)
-        return islice(product(*walks), n)
+        """``(z, encode_response(z))`` for z = ``respond(state, witness, c)``
+        and c = 0, 1, ... in turn. The digits count up from the last copy;
+        only a copy whose digit changed steps its base walk and packs its
+        field again, and a digit that wraps restarts its copy's walk."""
+        base, last, top = self.base, self.copies - 1, self.base.challenge_space - 1
+        walks = [base.responses(st, witness) for st in state.r]
+        steps = [next(walk) for walk in walks]
+        zs = [z for z, _ in steps]
+        fields = [pack_field(enc) for _, enc in steps]
+        digits = [0] * self.copies
+        yield tuple(zs), b"".join(fields)
+        for _ in range(1, self.challenge_space):
+            j = last
+            while digits[j] == top:
+                digits[j] = 0
+                walks[j] = base.responses(state.r[j], witness)
+                zs[j], enc = next(walks[j])
+                fields[j] = pack_field(enc)
+                j -= 1
+            digits[j] += 1
+            zs[j], enc = next(walks[j])
+            fields[j] = pack_field(enc)
+            yield tuple(zs), b"".join(fields)
 
     def verify(self, instance, a, c, z):
         if not 0 <= c < self.challenge_space:
@@ -371,6 +388,7 @@ class RepeatedSigma:
         parts = _unpack(data, self.copies)
         canon = [self.base.canonical_response(p) for p in parts]
         return data if canon == parts else _pack(canon)
+    canonical_commitment = canonical_response  # packs the base's shared codec
 
 
 def restrict_and_repeat(base: Schnorr, copies: int, challenge_space: int):

@@ -5,7 +5,8 @@ c = 0, 1, 2, ... until the l-bit oracle output on (a_vec, i, c, z) is all
 zeros, giving a proof (a_vec, c_vec, z_vec). The verifier recomputes the k
 hashes and the k sigma verifications. Every grinding attempt goes through
 the recording oracle, which is what makes transcript-based straight-line
-extraction possible.
+extraction possible: each repetition is one ``RecordingOracle.grind`` loop
+over the protocol's walk of encoded responses; the verifier uses ``query``.
 
 Parameters: k repetitions, l hash bits, challenge space size N, and an
 attempt cap T. T defaults to N (enumerate the whole restricted challenge
@@ -100,21 +101,19 @@ class Proof:
 def prove(params: FischlinParams, protocol, instance, witness, oracle, rng) -> Proof:
     """Grind each repetition's challenge in increasing order from 0 until
     the oracle output is zero; raise Abort if some repetition exhausts its
-    T attempts. Commitments are never resampled after an abort. Responses
-    come from the protocol's ``responses`` walk, one step per attempt."""
+    T attempts. Commitments are never resampled after an abort. Each
+    repetition is one ``oracle.grind`` loop over the protocol's walk of
+    encoded responses, one step per attempt."""
     k = params.k
     pairs = [protocol.commit(instance, rng) for _ in range(k)]
     a_vec = tuple(p[0] for p in pairs)
     c_vec, z_vec = [], []
     for i in range(1, k + 1):
-        walk = protocol.responses(pairs[i - 1][1], witness)
-        for c, z in zip(range(params.T), walk):
-            if oracle.query(OracleInput(a_vec, i, c, z)) == 0:
-                c_vec.append(c)
-                z_vec.append(z)
-                break
-        else:
+        hit = oracle.grind(a_vec, i, params.T, protocol.responses(pairs[i - 1][1], witness))
+        if hit is None:
             raise Abort(f"repetition {i}: no zero hash within {params.T} attempts")
+        c_vec.append(hit[0])
+        z_vec.append(hit[1])
     return Proof(a_vec, tuple(c_vec), tuple(z_vec))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fischlin import cli
 from fischlin.cli import _parse_grid, main
 from fischlin.sigma import GroupParams, protocol_for_challenge_space
 from fischlin.transform import FischlinParams, Proof, serialize_proof
@@ -293,6 +294,43 @@ class TestSimulate:
         code, out, _ = run(capsys, "verify", "--instance", str(inst),
                            "--proof", str(proof), "--seed", "4")
         assert code == 1
+
+    def test_table_written_in_small_memory(self, tmp_path, capsys, keypair, monkeypatch):
+        # writing a k=1024, l=8, c=2 table makes one point's dict at a time:
+        # the traced peak from opening the table file to closing it stays
+        # under 250 KB (a whole to_json object is about 380 KB of dicts)
+        inst, _ = keypair
+        table = tmp_path / "table.json"
+        peaks = []
+
+        class Watched:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                tracemalloc.reset_peak()
+                self.start = tracemalloc.get_traced_memory()[0]
+                return self.fh.__enter__()
+
+            def __exit__(self, *exc):
+                peaks.append(tracemalloc.get_traced_memory()[1] - self.start)
+                return self.fh.__exit__(*exc)
+
+        def watched_open(path, *args, **kw):
+            fh = open(path, *args, **kw)
+            return Watched(fh) if str(path) == str(table) else fh
+
+        monkeypatch.setattr(cli, "open", watched_open, raising=False)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "simulate", "--instance", str(inst),
+                               "--k", "1024", "--l", "8", "--c", "2", "--seed", "3",
+                               "--out", str(tmp_path / "sim.bin"),
+                               "--table-out", str(table))
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["programmed"] == 1024
+        assert len(peaks) == 1 and peaks[0] < 250_000
 
 
 class TestBoundsPlanLab:

@@ -16,6 +16,7 @@ from fischlin.oracle import OracleInput, OracleTranscript, RecordingOracle, \
 from fischlin.sigma import GroupParams, Schnorr, SigmaInstance, SigmaWitness, keygen, \
     protocol_for_challenge_space
 from fischlin.transform import FischlinParams, Proof, prove
+from transcript_entries import entries
 
 
 def transcript_of(params, proto, inputs, seed=1):
@@ -56,7 +57,7 @@ def _scan(protocol, instance, entries):
 
 
 def reference_extract(params, protocol, instance, proof, transcript):
-    valid = [e for e in transcript.entries
+    valid = [e for e in entries(transcript)
              if protocol.verify(instance, e.inp.a_vec[e.inp.i - 1], e.inp.c, e.inp.z)]
     valid.sort(key=lambda e: (e.prefix, e.tail))
     prefixed = [e for e in valid if e.inp.a_vec == proof.a_vec]

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import random
 import struct
@@ -23,6 +24,7 @@ from fischlin.oracle import (
 from fischlin.sigma import FieldReader, GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
     SigmaWitness, pack_field, protocol_for_challenge_space
 from fischlin.transform import FischlinParams
+from transcript_entries import entries
 
 PARAMS = FischlinParams(k=2, l=4, N=16, T=16)
 KEY = encode_input(PARAMS, Schnorr(GroupParams(1019, 509, 4), 16),
@@ -150,7 +152,7 @@ class TestRecordingOracle:
         inputs = [rand_input(rng) for _ in range(300)]
         for inp in inputs + inputs:
             oracle.query(inp)
-        keys = [e.key for e in oracle.transcript.entries]
+        keys = [e.key for e in entries(oracle.transcript)]
         assert len(keys) == len(set(keys)) == len({
             oracle.encode(i) for i in inputs})
 
@@ -161,7 +163,7 @@ class TestRecordingOracle:
         interleaved = [q for pair in zip(prover, verifier) for q in pair]
         for q in interleaved:
             oracle.query(q)
-        assert [e.inp for e in oracle.transcript.entries] == interleaved
+        assert [e.inp for e in entries(oracle.transcript)] == interleaved
 
     def test_recording_keeps_no_tracked_object_per_query(self, proto):
         # the transcript holds bytes and ints in lists and dicts, none of
@@ -180,14 +182,14 @@ class TestRecordingOracle:
         vecs = [(64, 80), (80, 64)]
         inputs = [OracleInput(vecs[n % 2], n % 2 + 1, n % 16, n) for n in range(40)]
         answers = [oracle.query(inp) for inp in inputs]
-        entries = oracle.transcript.entries
-        assert len(entries) == len(inputs)
+        got = entries(oracle.transcript)
+        assert len(got) == len(inputs)
         for j, (inp, y) in enumerate(zip(inputs, answers)):
-            assert entries[j].inp == inp and entries[j].y == y
-            assert entries[j].key == encode_input(PARAMS, proto, inp)
-        assert entries[-1].inp == inputs[-1]
+            assert got[j].inp == inp and got[j].y == y
+            assert got[j].key == encode_input(PARAMS, proto, inp)
+        assert got[-1].inp == inputs[-1]
         with pytest.raises(IndexError):
-            entries[len(inputs)]
+            got[len(inputs)]
 
     def test_reprogram_precedence(self, proto):
         oracle = self.make(proto)
@@ -255,7 +257,7 @@ class TestRecordingOracle:
         oracle = self.make(proto, table=ReprogramTable({table_key(PARAMS, proto, inp): value}))
         assert oracle.programmer is None
         assert oracle.query(inp) == value
-        assert oracle.transcript.entries[0].key == key
+        assert entries(oracle.transcript)[0].key == key
 
     def test_seed_length_enforced(self, proto):
         with pytest.raises(ValueError):
@@ -300,8 +302,8 @@ class TestTranscriptSerialization:
             oracle.query(rand_input(rng))
         text = oracle.transcript.to_jsonl(proto)
         back = OracleTranscript.from_jsonl(PARAMS, proto, text)
-        assert [(e.key, e.inp, e.y) for e in back.entries] == \
-            [(e.key, e.inp, e.y) for e in oracle.transcript.entries]
+        assert [(e.key, e.inp, e.y) for e in entries(back)] == \
+            [(e.key, e.inp, e.y) for e in entries(oracle.transcript)]
 
     def test_empty_transcript_serializes_empty(self, proto):
         assert OracleTranscript().to_jsonl(proto) == ""
@@ -359,6 +361,29 @@ class TestTranscriptSerialization:
                  "table vector 1 point 0")):
             with pytest.raises(ValueError, match=where + ".*programmed to both 3 and 4"):
                 ReprogramTable.from_json(PARAMS, proto, obj)
+
+    def test_table_prefix_canonical(self, toy_group):
+        # the grouped format's commitment hex is canonicalised without
+        # decoding: leading zero bytes, in a Schnorr commitment or inside a
+        # packed element, still give the prefix the proof's vector encodes
+        # to, and a packed commitment with another part count is malformed
+        two = protocol_for_challenge_space(toy_group, 600)
+        for params, protocol, a_vec, padded, z in (
+                (PARAMS, Schnorr(toy_group, 16), (64, 80), ["0040", "000050"], 17),
+                (FischlinParams(k=2, l=4, N=600, T=600), two, ((4, 16), (64, 80)),
+                 [(pack_field(b"\0\4") + pack_field(b"\x10")).hex(),
+                  (pack_field(b"@") + pack_field(b"\0\0P")).hex()], (1, 2))):
+            point = {"i": 1, "c": 0, "z": protocol.encode_response(z).hex(), "y": 3}
+            table = ReprogramTable.from_json(
+                params, protocol, {"vectors": [{"a": padded, "points": [point]}]})
+            assert table.overrides == {
+                table_key(params, protocol, OracleInput(a_vec, 1, 0, z)): 3}
+        for parts in ([b"\4"], [b"\4", b"\x10", b"@"]):
+            bad = ["".join(pack_field(p).hex() for p in parts),
+                   two.encode_commitment((64, 80)).hex()]
+            with pytest.raises(ValueError, match="table vector 0"):
+                ReprogramTable.from_json(FischlinParams(k=2, l=4, N=600, T=600), two,
+                                         {"vectors": [{"a": bad, "points": []}]})
 
     def test_derive_seed_forms(self):
         assert len(derive_seed(7)) == 32
@@ -488,7 +513,7 @@ class TestTranscriptParserFuzz:
             assert str(got.value) == str(exc)
             return
         ts = OracleTranscript.from_jsonl(params, protocol, text)
-        assert [(e.prefix, e.tail, e.inp, e.y) for e in ts.entries] == want
+        assert [(e.prefix, e.tail, e.inp, e.y) for e in entries(ts)] == want
         if mutation == "none":
             assert ts.to_jsonl(protocol) == text
 
@@ -594,3 +619,33 @@ class TestTableParserFuzz:
                 assert back.to_json() == obj
         elif mutation in ("repeat-other", "split"):
             assert back is None
+
+
+class TestTableWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(table_cases())
+    def test_matches_json_dump(self, case):
+        """``write_json`` writes the text ``json.dump`` of ``to_json`` with
+        indent 2 writes, over one or two commitment vectors."""
+        table = case[2]
+        fh = io.StringIO()
+        table.write_json(fh)
+        assert fh.getvalue() == json.dumps(table.to_json(), indent=2)
+
+    def test_empty_table(self):
+        fh = io.StringIO()
+        ReprogramTable().write_json(fh)
+        assert fh.getvalue() == json.dumps({"vectors": []}, indent=2)
+
+    def test_points_past_one_batch(self, proto):
+        # points are dumped 64 at a time: two interleaved vectors with 64
+        # and 150 points meet and cross that batch size
+        oracle = RecordingOracle(PARAMS, proto, derive_seed(46))
+        for n in range(214):
+            a_vec = (80, 64) if n % 3 == 0 and n < 192 else (64, 80)
+            oracle.reprogram(OracleInput(a_vec, n % 2 + 1, n % 16, n), n % 16)
+        obj = oracle.table.to_json()
+        assert [len(v["points"]) for v in obj["vectors"]] == [64, 150]
+        fh = io.StringIO()
+        oracle.table.write_json(fh)
+        assert fh.getvalue() == json.dumps(obj, indent=2)

@@ -86,14 +86,20 @@ class TestRespond:
 TOY = GroupParams(1019, 509, 4)
 
 
+def walk_reference(proto, state, w):
+    """``(z, encode_response(z))`` for z = ``respond`` at c = 0, 1, ... N - 1."""
+    zs = [proto.respond(state, SigmaWitness(w), c) for c in range(proto.challenge_space)]
+    return [(z, proto.encode_response(z)) for z in zs]
+
+
 class TestResponseWalk:
-    """``responses`` yields exactly ``respond`` for c = 0, 1, ... N - 1."""
+    """``responses`` yields exactly ``respond`` and its encoding for c = 0,
+    1, ... N - 1."""
 
     @given(r=st.integers(0, 508), w=st.integers(1, 508), n=st.integers(2, 509))
     def test_schnorr(self, r, w, n):
         proto, state = Schnorr(TOY, n), CommitState(r, pow(4, r, 1019))
-        assert list(proto.responses(state, SigmaWitness(w))) == \
-            [proto.respond(state, SigmaWitness(w), c) for c in range(n)]
+        assert list(proto.responses(state, SigmaWitness(w))) == walk_reference(proto, state, w)
 
     @given(rs=st.lists(st.integers(0, 508), min_size=3, max_size=3),
            w=st.integers(1, 508), base=st.sampled_from([2, 3, 5, 7, 509]),
@@ -104,8 +110,7 @@ class TestResponseWalk:
         proto = RepeatedSigma(Schnorr(TOY, base), copies, n)
         state = CommitState(tuple(CommitState(r, pow(4, r, 1019)) for r in rs[:copies]),
                             None)
-        assert list(proto.responses(state, SigmaWitness(w))) == \
-            [proto.respond(state, SigmaWitness(w), c) for c in range(n)]
+        assert list(proto.responses(state, SigmaWitness(w))) == walk_reference(proto, state, w)
 
 
 class TestVerify:

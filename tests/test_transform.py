@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from fischlin import oracle as oracle_mod
 from fischlin.extractor import attempts_per_repetition
 from fischlin.oracle import OracleInput, RecordingOracle, decode_input, derive_seed, \
     encode_input
-from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, keygen, \
-    protocol_for_challenge_space
+from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, SigmaInstance, SigmaWitness, \
+    keygen, protocol_for_challenge_space
 from fischlin.transform import (
     Abort,
     FischlinParams,
@@ -24,6 +25,7 @@ from fischlin.transform import (
     serialize_proof,
     verify,
 )
+from transcript_entries import entries
 
 
 class TestParams:
@@ -147,7 +149,7 @@ class TestProveVerify:
         proto, rng, inst, wit, oracle = make_run(toy_group, params, 7)
         proof = prove(params, proto, inst, wit, oracle, rng)
         for i in range(1, params.k + 1):
-            seen = [e.inp for e in oracle.transcript.entries if e.inp.i == i]
+            seen = [e.inp for e in entries(oracle.transcript) if e.inp.i == i]
             assert [e.c for e in seen] == list(range(proof.c_vec[i - 1] + 1))
             for e in seen:
                 assert e.a_vec == proof.a_vec
@@ -164,9 +166,28 @@ class TestProveVerify:
         proto, rng, inst, wit, oracle = make_run(toy_group, params, 12)
         prove(params, proto, inst, wit, oracle, rng)
         assert len(calls) == 1
-        first = oracle.transcript.entries[0].prefix
+        first = entries(oracle.transcript)[0].prefix
         assert len(oracle.transcript) > 256
-        assert all(e.prefix is first for e in oracle.transcript.entries)
+        assert all(e.prefix is first for e in entries(oracle.transcript))
+
+    def test_grinding_keeps_no_tracked_object_per_attempt(self, toy_group, monkeypatch):
+        # prove grinds through RecordingOracle.grind: with no table and no
+        # programmer it asks ``query`` nothing, and what it records is
+        # bytes and ints, so the count of objects the cyclic collector
+        # tracks grows by the k commitment tuples the oracle keeps and a
+        # constant, not with the number of attempts
+        def no_query(*_):
+            raise AssertionError("a plain oracle's grinding called query")
+
+        monkeypatch.setattr(RecordingOracle, "query", no_query)
+        params = FischlinParams(k=40, l=8, N=4096, T=4096)
+        proto, rng, inst, wit, oracle = make_run(toy_group, params, 16)
+        assert proto.copies == 2
+        gc.collect()
+        before = len(gc.get_objects())
+        prove(params, proto, inst, wit, oracle, rng)
+        assert len(oracle.transcript) >= 10_000
+        assert len(gc.get_objects()) - before <= params.k + 16
 
     def test_attempt_counts_match_challenges(self, toy_group):
         params = FischlinParams(k=4, l=2, N=32, T=32)
@@ -371,3 +392,93 @@ class TestParserFuzz:
         assert mutation not in ("cut", "extend")
         if mutation == "none":
             assert got == value
+
+
+# Reference: the prover as it was before it ground through
+# ``RecordingOracle.grind``, one ``query`` of an ``OracleInput`` per attempt.
+# Its responses come from ``respond``, which the walk tests in test_sigma.py
+# show the protocols' ``responses`` walks equal.
+
+def reference_prove(params, protocol, instance, witness, oracle, rng):
+    k = params.k
+    pairs = [protocol.commit(instance, rng) for _ in range(k)]
+    a_vec = tuple(p[0] for p in pairs)
+    c_vec, z_vec = [], []
+    for i in range(1, k + 1):
+        for c in range(params.T):
+            z = protocol.respond(pairs[i - 1][1], witness, c)
+            if oracle.query(OracleInput(a_vec, i, c, z)) == 0:
+                c_vec.append(c)
+                z_vec.append(z)
+                break
+        else:
+            raise Abort(f"repetition {i}: no zero hash within {params.T} attempts")
+    return Proof(a_vec, tuple(c_vec), tuple(z_vec))
+
+
+PROVE_INSTANCE = (SigmaInstance(FUZZ_GROUP, 80), SigmaWitness(7))
+
+
+@st.composite
+def prove_cases(draw):
+    """(params, protocol, seed, oracle kind): Schnorr or a 2- or 3-copy
+    RepeatedSigma over a small base space, random k, l, N and T (often
+    small enough to abort), and an oracle that is plain, holds a reprogram
+    table over the proof's own points, or has a programmer installed."""
+    copies = draw(st.sampled_from([1, 2, 3]))
+    if copies == 1:
+        n = draw(st.integers(2, 40))
+        protocol = Schnorr(FUZZ_GROUP, n)
+    else:
+        base = draw(st.sampled_from([2, 3, 5]))
+        n = draw(st.integers(2, base ** copies))
+        protocol = RepeatedSigma(Schnorr(FUZZ_GROUP, base), copies, n)
+    t = draw(st.one_of(st.just(n), st.integers(1, n)))
+    params = FischlinParams(k=draw(st.integers(1, 4)), l=draw(st.integers(1, 4)), N=n, T=t)
+    return params, protocol, draw(st.integers(0, 2 ** 32)), \
+        draw(st.sampled_from(["plain", "table", "programmer"]))
+
+
+def prove_twice(prover, params, protocol, seed, kind):
+    """Two proofs (or Abort messages) from the same rng seed on one oracle,
+    so the second is answered from the transcript, then the transcript
+    columns and the table."""
+    inst, wit = PROVE_INSTANCE
+    oracle = RecordingOracle(params, protocol, derive_seed(seed))
+    if kind == "table":
+        rng = random.Random(seed)
+        states = [protocol.commit(inst, rng)[1] for _ in range(params.k)]
+        a_vec = tuple(state.a for state in states)
+        points = {(n % params.k + 1, rng.randrange(params.N)): rng.randrange(1 << params.l)
+                  for n in range(2 * params.k)}
+        for (i, c), y in points.items():
+            oracle.reprogram(OracleInput(a_vec, i, c, protocol.respond(states[i - 1], wit, c)), y)
+    elif kind == "programmer":
+        oracle.programmer = lambda inp: None if inp.c % 3 else (inp.i + inp.c) % (1 << params.l)
+    out = []
+    for _ in range(2):
+        try:
+            out.append(prover(params, protocol, inst, wit, oracle, random.Random(seed)))
+        except Abort as exc:
+            out.append(str(exc))
+    ts = oracle.transcript
+    return out, (ts.tails, ts.ys, ts.vids, oracle.table.overrides)
+
+
+class TestProverMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(prove_cases())
+    def test_same_proofs_and_transcript(self, case):
+        """prove gives the reference's proofs, or both abort with the same
+        message, and leaves the same transcript columns and table; the
+        second prove on the same oracle repeats the first."""
+        params, protocol, seed, kind = case
+        got = prove_twice(prove, params, protocol, seed, kind)
+        assert got == prove_twice(reference_prove, params, protocol, seed, kind)
+        assert got[0][0] == got[0][1]
+        # each step of the walk the prover took is respond and its encoding
+        inst, wit = PROVE_INSTANCE
+        state = protocol.commit(inst, random.Random(seed))[1]
+        for c, (z, enc) in enumerate(protocol.responses(state, wit)):
+            assert z == protocol.respond(state, wit, c)
+            assert enc == protocol.encode_response(z)
