@@ -27,7 +27,7 @@ from . import bounds as bounds_mod
 from . import lab as lab_mod
 from . import transform
 from .extractor import Status, extract
-from .oracle import OracleTranscript, RecordingOracle, ReprogramTable, derive_seed
+from .oracle import HashingOracle, OracleTranscript, RecordingOracle, ReprogramTable, derive_seed
 from .sigma import GroupParams, SigmaInstance, SigmaWitness, keygen, \
     protocol_for_challenge_space
 from .simulator import simulate
@@ -151,7 +151,8 @@ def cmd_prove(args) -> int:
     params = _params_from(args, config)
     protocol = protocol_for_challenge_space(instance.group, params.N)
     seed = _resolve_seed(args, config)
-    oracle = RecordingOracle(params, protocol, _oracle_seed(config, seed))
+    oracle = (RecordingOracle if args.record else HashingOracle)(
+        params, protocol, _oracle_seed(config, seed))
     rng = random.Random(seed)
     try:
         proof = transform.prove(params, protocol, instance, witness, oracle, rng)
@@ -164,7 +165,7 @@ def cmd_prove(args) -> int:
         with open(args.record, "w") as fh:
             fh.write(oracle.transcript.to_jsonl(protocol))
     _emit(args, {"proof": args.out, "k": params.k, "l": params.l,
-                 "N": params.N, "queries": len(oracle.transcript)})
+                 "N": params.N, "queries": oracle.attempts})
     return 0
 
 
@@ -186,8 +187,8 @@ def cmd_verify(args) -> int:
     table = None
     if args.table:
         table = ReprogramTable.from_json(params, protocol, _load_json(args.table, "table"))
-    oracle = RecordingOracle(params, protocol, _oracle_seed(config, seed),
-                             table=table)
+    oracle = (RecordingOracle if args.record else HashingOracle)(
+        params, protocol, _oracle_seed(config, seed), table=table)
     ok = transform.verify(params, protocol, instance, proof, oracle)
     if args.record:
         with open(args.record, "w") as fh:

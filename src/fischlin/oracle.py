@@ -2,7 +2,7 @@
 
 Queries are structured tuples (a_vec, i, c, z) rather than raw bytes: the
 facade serializes them through a canonical injective encoding, hashes with
-seeded SHA-256 truncated to l bits, and logs every distinct query in order.
+seeded SHA-256 truncated to l bits, and can log every distinct query in order.
 The ordered log is the classical analogue of a recorded oracle database and
 is what the straight-line extractor inspects. A reprogram table lets a
 simulator override fresh points; overriding a point that was already
@@ -16,9 +16,11 @@ of that midstate. The reprogram table is keyed by ``(prefix, tail)`` as
 well, so no query builds the full key ``prefix || tail``, and its JSON
 writes each commitment vector once, followed by its programmed points.
 
-The prover grinds a repetition in one ``RecordingOracle.grind`` loop over
-the protocol's walk of encoded responses, which looks the midstate up once
-and makes no ``OracleInput`` per attempt; all other callers use ``query``.
+A ``HashingOracle`` keeps nothing per query; a ``RecordingOracle`` adds the
+transcript, the ``programmer`` hook and ``reprogram``. Either grinds a
+repetition in one ``grind`` loop over the protocol's walk of encoded
+responses, which looks the midstate up once and makes no ``OracleInput``
+per attempt; all other callers use ``query``.
 
 The transcript is stored column-wise. Each commitment vector is kept once,
 with its prefix bytes and a ``tail -> y`` dict that answers repeated
@@ -43,6 +45,7 @@ __all__ = [
     "TranscriptVector",
     "OracleTranscript",
     "ReprogramTable",
+    "HashingOracle",
     "RecordingOracle",
     "ReprogramConflict",
     "encode_input",
@@ -120,6 +123,12 @@ def decode_input(params, protocol, data: bytes) -> OracleInput:
 def _truncate(digest: bytes, out_bits: int) -> int:
     """First ``out_bits`` bits (big-endian bit order) of a digest."""
     return int.from_bytes(digest[:8], "big") >> (64 - out_bits)
+
+
+def zero_bound(bits: int) -> bytes:
+    """2^(256 - bits) as 32 big-endian bytes: a SHA-256 digest is below it
+    exactly when its first ``bits`` bits are zero."""
+    return (1 << (256 - bits)).to_bytes(32, "big")
 
 
 def ro_eval(seed: bytes, payload: bytes, out_bits: int) -> int:
@@ -376,8 +385,82 @@ class ReprogramTable:
         return table
 
 
-class RecordingOracle:
-    """Seeded l-bit oracle that logs every distinct structured query.
+class HashingOracle:
+    """Seeded l-bit oracle that keeps nothing per query; its table overrides the hash."""
+
+    def __init__(self, params, protocol, seed: bytes, table: ReprogramTable | None = None):
+        if len(seed) != 32:
+            raise ValueError("oracle seed must be exactly 32 bytes")
+        if params.N > protocol.challenge_space:
+            raise ValueError("params need a larger sigma challenge space")
+        self.params = params
+        self.protocol = protocol
+        self.seed = seed
+        self.table = table if table is not None else ReprogramTable()
+        self.attempts = 0
+        # a_vec -> (SHA-256 state after seed || prefix, prefix); the last
+        # vector asked for is checked by identity before the dict.
+        self._contexts: dict[tuple, tuple] = {}
+        self._last = (object(), None)
+
+    def _context(self, a_vec: tuple) -> tuple:
+        """(midstate, prefix) of a commitment vector, encoded once."""
+        last_vec, ctx = self._last
+        if a_vec is not last_vec:
+            ctx = self._contexts.get(a_vec)
+            if ctx is None:
+                prefix = _encode_prefix(self.params, self.protocol, a_vec)
+                ctx = self._contexts[a_vec] = (hashlib.sha256(self.seed + prefix), prefix)
+            self._last = (a_vec, ctx)
+        return ctx
+
+    def _tail(self, inp: OracleInput) -> bytes:
+        return _encode_tail(self.params, inp.i, inp.c, self.protocol.encode_response(inp.z))
+
+    def _answer(self, mid, prefix: bytes, tail: bytes) -> int:
+        """The table's value of a point, else its truncated hash."""
+        y = self.table.overrides.get((prefix, tail))
+        if y is None:
+            h = mid.copy()
+            h.update(tail)
+            y = _truncate(h.digest(), self.params.l)
+        return y
+
+    def query(self, inp: OracleInput) -> int:
+        return self._answer(*self._context(inp.a_vec), self._tail(inp))
+
+    def grind(self, a_vec: tuple, i: int, attempts: int, walk):
+        """The first ``(c, z)``, c < attempts, whose query ``(a_vec, i, c, z)`` answers 0, or
+        None; ``walk`` yields each attempt's ``(z, enc)``. Adds the attempts to ``attempts``."""
+        if not 1 <= i <= self.params.k:
+            raise ValueError("repetition index out of range")
+        if attempts > self.params.N:
+            raise ValueError("challenge out of range")
+        hit = self._grind(a_vec, i, attempts, walk)
+        self.attempts += attempts if hit is None else hit[0] + 1
+        return hit
+
+    def _grind(self, a_vec: tuple, i: int, attempts: int, walk):
+        """Hash each attempt from the midstate, or ``query`` it if a table may."""
+        if self.table.overrides:
+            return self._grind_by_query(a_vec, i, attempts, walk)
+        mid, _ = self._context(a_vec)
+        head = struct.Struct(">II").pack
+        zero = zero_bound(self.params.l)
+        for c, (z, enc) in zip(range(attempts), walk):
+            h = mid.copy()
+            h.update(head(i, c) + pack_field(enc))
+            if h.digest() < zero:
+                return c, z
+        return None
+
+    def _grind_by_query(self, a_vec: tuple, i: int, attempts: int, walk):
+        return next(((c, z) for c, (z, _) in zip(range(attempts), walk)
+                     if self.query(OracleInput(a_vec, i, c, z)) == 0), None)
+
+
+class RecordingOracle(HashingOracle):
+    """Hashing oracle that logs every distinct structured query.
 
     Lookup order: transcript (first answer wins), reprogram table, the
     optional ``programmer`` hook (a callable input -> value or None used by
@@ -386,44 +469,16 @@ class RecordingOracle:
     one experiment per handle.
     """
 
-    def __init__(self, params, protocol, seed: bytes,
-                 transcript: OracleTranscript | None = None,
+    def __init__(self, params, protocol, seed: bytes, transcript: OracleTranscript | None = None,
                  table: ReprogramTable | None = None):
-        if len(seed) != 32:
-            raise ValueError("oracle seed must be exactly 32 bytes")
-        if params.N > protocol.challenge_space:
-            raise ValueError("params need a larger sigma challenge space")
-        self.params = params
-        self.protocol = protocol
-        self.seed = seed
+        super().__init__(params, protocol, seed, table)
         self.transcript = transcript if transcript is not None else OracleTranscript()
-        self.table = table if table is not None else ReprogramTable()
         self.programmer = None
-        # a_vec -> (SHA-256 state after seed || prefix, transcript vector);
-        # the last vector asked for is checked by identity before the dict.
-        self._contexts: dict[tuple, tuple] = {}
-        self._last = (object(), None)
-
-    def _context(self, a_vec: tuple) -> tuple:
-        """(midstate, transcript vector) of a commitment vector, whose
-        prefix is encoded once."""
-        last_vec, ctx = self._last
-        if a_vec is not last_vec:
-            ctx = self._contexts.get(a_vec)
-            if ctx is None:
-                prefix = _encode_prefix(self.params, self.protocol, a_vec)
-                ctx = self._contexts[a_vec] = (
-                    hashlib.sha256(self.seed + prefix),
-                    self.transcript.vector(prefix, a_vec, self.protocol))
-            self._last = (a_vec, ctx)
-        return ctx
 
     def _split(self, inp: OracleInput) -> tuple:
-        """(midstate, transcript vector, tail) of a query; only the tail is
-        encoded per query."""
-        mid, vec = self._context(inp.a_vec)
-        return mid, vec, _encode_tail(self.params, inp.i, inp.c,
-                                      self.protocol.encode_response(inp.z))
+        """(midstate, transcript vector, tail) of a query; only the tail is new."""
+        mid, prefix = self._context(inp.a_vec)
+        return mid, self.transcript.vector(prefix, inp.a_vec, self.protocol), self._tail(inp)
 
     def encode(self, inp: OracleInput) -> bytes:
         """``encode_input`` with the commitment-vector prefix cached."""
@@ -433,39 +488,21 @@ class RecordingOracle:
     def query(self, inp: OracleInput) -> int:
         mid, vec, tail = self._split(inp)
         y = vec.answers.get(tail)
-        if y is not None:
-            return y
-        overrides = self.table.overrides
-        if overrides or self.programmer is not None:
-            key = (vec.prefix, tail)
-            y = overrides.get(key)
-            if y is None and self.programmer is not None:
+        if y is None:
+            if self.programmer is not None and (vec.prefix, tail) not in self.table.overrides:
                 y = self.programmer(inp)
                 if y is not None:
-                    overrides[key] = y
-        if y is None:
-            h = mid.copy()
-            h.update(tail)
-            y = _truncate(h.digest(), self.params.l)
-        self.transcript.record(vec, tail, y)
+                    self.table.overrides[vec.prefix, tail] = y
+            y = self._answer(mid, vec.prefix, tail)
+            self.transcript.record(vec, tail, y)
         return y
 
-    def grind(self, a_vec: tuple, i: int, attempts: int, walk):
-        """The first ``(c, z)`` for c = 0 .. attempts - 1 whose query
-        ``(a_vec, i, c, z)`` answers 0, or None; ``walk`` yields each
-        attempt's ``(z, encode_response(z))``. Answers and records are those
-        of ``query`` on each attempt in turn, which answers every attempt
-        when a table or a programmer may override the hash."""
-        if not 1 <= i <= self.params.k:
-            raise ValueError("repetition index out of range")
-        if attempts > self.params.N:
-            raise ValueError("challenge out of range")
+    def _grind(self, a_vec: tuple, i: int, attempts: int, walk):
+        """Hash and record each attempt, or ``query`` it if a table or programmer may."""
         if self.table.overrides or self.programmer is not None:
-            for c, (z, _) in zip(range(attempts), walk):
-                if self.query(OracleInput(a_vec, i, c, z)) == 0:
-                    return c, z
-            return None
-        mid, vec = self._context(a_vec)
+            return self._grind_by_query(a_vec, i, attempts, walk)
+        mid, prefix = self._context(a_vec)
+        vec = self.transcript.vector(prefix, a_vec, self.protocol)
         answers, vid, l = vec.answers, vec.vid, self.params.l
         ts = self.transcript
         tails, ys, vids = ts.tails, ts.ys, ts.vids

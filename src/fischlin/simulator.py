@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass
 
 from . import transform
-from .oracle import OracleInput, ro_eval
+from .oracle import OracleInput, ro_eval, zero_bound
 
 __all__ = [
     "TildeFunction",
@@ -67,14 +67,13 @@ def sample_zero_challenge(tilde: TildeFunction, i: int, n: int, rng) -> int:
     stages are exactly uniform over the zero set.
 
     A candidate is hashed from a copy of the row's SHA-256 state, and it is
-    a zero cell when its digest, read as a 256-bit big-endian number, is
-    below 2^(256 - l): its first l bits are zero, which is ``tilde(i, c) ==
-    0``. Rejected candidates are not cached in ``tilde.cells``.
+    a zero cell, ``tilde(i, c) == 0``, when its digest is below
+    ``zero_bound(l)``. Rejected candidates are not cached in ``tilde.cells``.
     """
     randrange = rng.randrange
     row = tilde._mid.copy()
     row.update(struct.pack(">I", i))
-    zero_below = (1 << (256 - tilde.l)).to_bytes(32, "big")
+    zero_below = zero_bound(tilde.l)
     for _ in range(_REJECTION_FACTOR << tilde.l):
         c = randrange(n)
         h = row.copy()

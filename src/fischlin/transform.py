@@ -3,10 +3,11 @@
 The prover commits k times, then for each repetition i grinds challenges
 c = 0, 1, 2, ... until the l-bit oracle output on (a_vec, i, c, z) is all
 zeros, giving a proof (a_vec, c_vec, z_vec). The verifier recomputes the k
-hashes and the k sigma verifications. Every grinding attempt goes through
-the recording oracle, which is what makes transcript-based straight-line
-extraction possible: each repetition is one ``RecordingOracle.grind`` loop
-over the protocol's walk of encoded responses; the verifier uses ``query``.
+hashes and the k sigma verifications. Each repetition is one ``grind`` loop
+of the oracle over the protocol's walk of encoded responses; the verifier
+uses ``query``. A ``HashingOracle`` keeps nothing per attempt; a
+``RecordingOracle`` records every attempt, the transcript that
+straight-line extraction reads.
 
 Parameters: k repetitions, l hash bits, challenge space size N, and an
 attempt cap T. T defaults to N (enumerate the whole restricted challenge
@@ -103,7 +104,8 @@ def prove(params: FischlinParams, protocol, instance, witness, oracle, rng) -> P
     the oracle output is zero; raise Abort if some repetition exhausts its
     T attempts. Commitments are never resampled after an abort. Each
     repetition is one ``oracle.grind`` loop over the protocol's walk of
-    encoded responses, one step per attempt."""
+    encoded responses, one step per attempt; the oracle's ``attempts``
+    grows by the attempts made, and a ``RecordingOracle`` records them."""
     k = params.k
     pairs = [protocol.commit(instance, rng) for _ in range(k)]
     a_vec = tuple(p[0] for p in pairs)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -270,6 +271,43 @@ class TestProveVerifyPipeline:
         with pytest.raises(SystemExit) as exc:
             main(["prove"])  # missing required flags
         assert exc.value.code == 2
+
+
+class TestProveMemory:
+    def test_prove_keeps_nothing_per_query(self, tmp_path, capsys, keypair):
+        # without --record the prover's oracle keeps no transcript: the
+        # traced peak of a k=256, l=8, c=2 prove (61,764 queries) stays
+        # under 1 MB, where a recording oracle's peak is about 7.4 MB
+        inst, wit = keypair
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "prove", "--instance", str(inst), "--witness", str(wit),
+                               "--k", "256", "--l", "8", "--c", "2", "--seed", "11",
+                               "--out", str(tmp_path / "proof.bin"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["queries"] == 61764
+        assert peak < 1_000_000
+
+    def test_record_adds_only_the_transcript(self, tmp_path, capsys, keypair):
+        # --record changes neither stdout nor the proof bytes, and writes
+        # the transcript that the recording oracle wrote before it had a
+        # hashing base class (pinned digests). k=16 keeps the file at
+        # 2.4 MB; at k=256 it is about 230 MB.
+        inst, wit = keypair
+        proof, record = tmp_path / "proof.bin", tmp_path / "t.jsonl"
+        argv = ["prove", "--instance", str(inst), "--witness", str(wit), "--k", "16",
+                "--l", "8", "--c", "2", "--seed", "11", "--out", str(proof)]
+        runs = []
+        for extra in ([], ["--record", str(record)]):
+            code, out, _ = run(capsys, *argv, *extra)
+            runs.append((code, out, hashlib.sha256(proof.read_bytes()).hexdigest()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["queries"] == 6496
+        assert runs[0][2] == "5bab4e020a626ed115ee535241a46bda61733aa16d9f54457b8114da01cad75e"
+        assert hashlib.sha256(record.read_bytes()).hexdigest() == \
+            "2f2e3d1dc13c72d955837e54249358b8d33232140793d14d7d2ce045724b77c5"
 
 
 class TestSimulate:

@@ -20,6 +20,7 @@ from fischlin.oracle import (
     _encode_prefix,
     encode_input,
     ro_eval,
+    zero_bound,
 )
 from fischlin.sigma import FieldReader, GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
     SigmaWitness, pack_field, protocol_for_challenge_space
@@ -279,9 +280,10 @@ class TestRecordingOracle:
         oracle.query(b)
 
     def test_zero_predicate_matches_leading_bits(self):
-        # the all-zeros test on the truncated value equals "the first l
-        # digest bits are zero" for every width, per an independent
-        # bit-string extraction
+        # the all-zeros test on the truncated value, and the digest
+        # comparison with zero_bound that grinding and the simulator's
+        # sampler make, both equal "the first l digest bits are zero" for
+        # every width, per an independent bit-string extraction
         import hashlib
         seed = derive_seed(33)
         for i in range(100):
@@ -291,7 +293,7 @@ class TestRecordingOracle:
             for l in (1, 2, 5, 8, 13, 32, 64):
                 y = ro_eval(seed, payload, l)
                 assert f"{y:0{l}b}" == bits[:l]
-                assert (y == 0) == (set(bits[:l]) == {"0"})
+                assert (y == 0) == (set(bits[:l]) == {"0"}) == (digest < zero_bound(l))
 
 
 class TestTranscriptSerialization:

@@ -1,6 +1,7 @@
 import functools
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from fischlin import oracle as oracle_mod
 from fischlin.extractor import attempts_per_repetition
-from fischlin.oracle import OracleInput, RecordingOracle, decode_input, derive_seed, \
-    encode_input
+from fischlin.oracle import HashingOracle, OracleInput, RecordingOracle, ReprogramTable, \
+    decode_input, derive_seed, encode_input
 from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, SigmaInstance, SigmaWitness, \
     keygen, protocol_for_challenge_space
 from fischlin.transform import (
@@ -482,3 +483,157 @@ class TestProverMatchesReference:
         for c, (z, enc) in enumerate(protocol.responses(state, wit)):
             assert z == protocol.respond(state, wit, c)
             assert enc == protocol.encode_response(z)
+
+
+# The oracle ``prove`` and ``verify`` get without a transcript: a
+# ``HashingOracle`` must answer exactly as a fresh ``RecordingOracle`` does.
+
+@st.composite
+def oracle_pair_cases(draw):
+    """(params, protocol, seed, table points): Schnorr or the two-copy
+    RepeatedSigma, k 1-4, l 1-6 and an attempt cap T that is often below
+    N, so that repetitions abort; the table points are (i, c, y) triples."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        protocol = Schnorr(FUZZ_GROUP, n)
+    else:
+        base = draw(st.sampled_from([2, 3, 5, 7]))
+        n = draw(st.integers(2, base * base))
+        protocol = RepeatedSigma(Schnorr(FUZZ_GROUP, base), 2, n)
+    t = draw(st.one_of(st.just(n), st.integers(1, n)))
+    params = FischlinParams(k=draw(st.integers(1, 4)), l=draw(st.integers(1, 6)), N=n, T=t)
+    points = draw(st.lists(st.tuples(st.integers(1, params.k), st.integers(0, n - 1),
+                                     st.integers(0, (1 << params.l) - 1)), max_size=6))
+    return params, protocol, draw(st.integers(0, 2 ** 32)), points
+
+
+def own_query(params, protocol, seed, i, c):
+    """The prover's query at repetition i and challenge c, for the
+    commitments ``prove`` draws from ``random.Random(seed)``."""
+    inst, wit = PROVE_INSTANCE
+    rng = random.Random(seed)
+    states = [protocol.commit(inst, rng)[1] for _ in range(params.k)]
+    return OracleInput(tuple(state.a for state in states), i, c,
+                       protocol.respond(states[i - 1], wit, c))
+
+
+def table_on(params, protocol, seed, points) -> dict:
+    """Overrides programming each (i, c, y) of ``points`` (the first value
+    for each (i, c) wins) on the prover's own query there."""
+    scratch = RecordingOracle(params, protocol, derive_seed(seed))
+    for (i, c), y in {(i, c): y for i, c, y in reversed(points)}.items():
+        scratch.reprogram(own_query(params, protocol, seed, i, c), y)
+    return scratch.table.overrides
+
+
+def prove_on(oracle, params, protocol, seed):
+    """``prove``'s proof on the oracle, or its Abort message."""
+    inst, wit = PROVE_INSTANCE
+    try:
+        return prove(params, protocol, inst, wit, oracle, random.Random(seed))
+    except Abort as exc:
+        return str(exc)
+
+
+def oracle_pair(params, protocol, seed, overrides=None):
+    """A hashing and a recording oracle on one seed, each with its own copy
+    of the table ``overrides``."""
+    return [cls(params, protocol, derive_seed(seed), table=ReprogramTable(dict(overrides or {})))
+            for cls in (HashingOracle, RecordingOracle)]
+
+
+class TestHashingMatchesRecording:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_pair_cases())
+    def test_same_proofs_counts_and_verdicts(self, case):
+        """Both oracles give the same proof, or the same Abort; the hashing
+        oracle counts as many attempts as the recording one records
+        queries; and both verify alike, with no table and with tables that
+        flip the verdict either way."""
+        params, protocol, seed, points = case
+        inst, _ = PROVE_INSTANCE
+        hashing, recording = oracle_pair(params, protocol, seed)
+        proof = prove_on(hashing, params, protocol, seed)
+        assert proof == prove_on(recording, params, protocol, seed)
+        assert hashing.attempts == len(recording.transcript) == recording.attempts
+        if isinstance(proof, str):
+            return
+        assert hashing.attempts == sum(proof.c_vec) + params.k
+        # (proof, table points, verdict or None when only the oracles must
+        # agree): repetition i's point answered with 1 rejects; moved to a
+        # challenge whose point hashes to nonzero it rejects, unless the
+        # table answers that point with 0
+        i = points[0][0] if points else 1
+        cases = [(proof, [], True), (proof, [(i, proof.c_vec[i - 1], 1)], False),
+                 (proof, points, None)]
+        for c in range(params.N):
+            moved = own_query(params, protocol, seed, i, c)
+            if hashing.query(moved) != 0:
+                moved_proof = Proof(proof.a_vec, proof.c_vec[:i - 1] + (c,) + proof.c_vec[i:],
+                                    proof.z_vec[:i - 1] + (moved.z,) + proof.z_vec[i:])
+                cases += [(moved_proof, [], False), (moved_proof, [(i, c, 0)], True)]
+                break
+        for shown, table_points, expected in cases:
+            overrides = table_on(params, protocol, seed, table_points)
+            verdicts = [verify(params, protocol, inst, shown, oracle)
+                        for oracle in oracle_pair(params, protocol, seed, overrides)]
+            assert verdicts[0] == verdicts[1]
+            assert expected is None or verdicts[0] is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_pair_cases())
+    def test_grind_honours_a_table(self, case):
+        """With a table over the prover's own points, the hashing oracle's
+        grind answers each attempt from it, as the recording oracle does."""
+        params, protocol, seed, points = case
+        overrides = table_on(params, protocol, seed, points)
+        hashing, recording = oracle_pair(params, protocol, seed, overrides)
+        proof = prove_on(hashing, params, protocol, seed)
+        assert proof == prove_on(recording, params, protocol, seed)
+        assert hashing.attempts == len(recording.transcript)
+
+    def test_grind_follows_the_table(self):
+        # the table answers repetition 1's zero with 1 and repetition 2's
+        # first attempt with 0: both oracles grind past the first and stop
+        # at the second
+        params = FischlinParams(k=2, l=2, N=40, T=40)
+        protocol = Schnorr(FUZZ_GROUP, 40)
+        plain = prove_on(HashingOracle(params, protocol, derive_seed(3)), params, protocol, 3)
+        assert plain.c_vec[1] > 0
+        overrides = table_on(params, protocol, 3, [(1, plain.c_vec[0], 1), (2, 0, 0)])
+        for oracle in oracle_pair(params, protocol, 3, overrides):
+            proof = prove_on(oracle, params, protocol, 3)
+            assert proof.c_vec[0] > plain.c_vec[0] and proof.c_vec[1] == 0
+            assert oracle.attempts == proof.c_vec[0] + 2
+
+    def test_abort_at_the_same_repetition(self):
+        # T = 2 at l = 6 aborts most proofs; both oracles abort in the
+        # same repetition, after the same number of attempts
+        params = FischlinParams(k=4, l=6, N=40, T=2)
+        protocol = Schnorr(FUZZ_GROUP, 40)
+        aborts = 0
+        for seed in range(20):
+            hashing, recording = oracle_pair(params, protocol, seed)
+            got = prove_on(hashing, params, protocol, seed)
+            assert got == prove_on(recording, params, protocol, seed)
+            assert hashing.attempts == len(recording.transcript)
+            aborts += isinstance(got, str)
+        assert aborts >= 15
+
+    def test_hashing_oracle_keeps_nothing_per_attempt(self, toy_group):
+        # a k=64, l=8 proof grinds about 16,000 attempts; what stays
+        # allocated after it is under 6 B per attempt, where a recording
+        # oracle keeps about 135
+        params = FischlinParams.explicit(64, 8, 2)
+        proto, rng, inst, wit, _ = make_run(toy_group, params, 5)
+        oracle = HashingOracle(params, proto, derive_seed(5))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prove(params, proto, inst, wit, oracle, rng)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert oracle.attempts > 10_000
+        assert kept < 100_000
