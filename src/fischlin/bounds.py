@@ -296,8 +296,11 @@ def plan_parameters(k_target: int, c_rate: float, base_space: int) -> dict:
     if c_rate <= 0:
         raise ValueError("c must be positive")
     warnings = []
-    l = max(14, math.ceil(math.log2(math.log2(k_target)) + math.log2(c_rate) + 8))
-    n = round(c_rate * 2.0 ** l * math.log2(k_target))
+    try:
+        l = max(14, math.ceil(math.log2(math.log2(k_target)) + math.log2(c_rate) + 8))
+        n = round(c_rate * 2.0 ** l * math.log2(k_target))
+    except OverflowError:
+        raise ValueError(f"c = {c_rate} is too large: 2^l or N overflows a float") from None
     r = 1
     cap = base_space
     while cap < n:

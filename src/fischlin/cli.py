@@ -302,6 +302,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_lab(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     check = args.check
     if check == "comp-involution":

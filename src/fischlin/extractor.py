@@ -2,11 +2,11 @@
 
 A prover that grinds challenges leaves a trail: for each repetition the
 transcript holds every attempted (challenge, response) pair, all of them
-valid sigma transcripts for the same commitment. The extractor sorts each
-commitment vector's recorded tails once and walks them for two valid
-entries sharing the vector and repetition index but differing in
-challenge, then runs special-soundness extraction. No rewinding, no extra
-queries.
+valid sigma transcripts for the same commitment. The extractor sorts the
+tails of each commitment vector's ``answers`` once (each recorded query
+appears there once) and walks them for two valid entries sharing the
+vector and repetition index but differing in challenge, then runs
+special-soundness extraction. No rewinding, no extra queries.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import groupby, islice
 from operator import itemgetter
 
 from . import transform
-from .oracle import RecordingOracle, _encode_prefix
+from .oracle import RecordingOracle
 
 __all__ = [
     "Status",
@@ -68,11 +68,10 @@ def extract(params, protocol, instance, proof, transcript) -> ExtractionOutcome:
     violation instead of being skipped. The caller must have verified the
     proof already.
     """
-    own = _encode_prefix(params, protocol, proof.a_vec)
-    tails = transcript.tails_by_vector()
     groups = (map(vec.input, group)
-              for vec in sorted(transcript.vectors, key=lambda v: (v.prefix != own, v.prefix))
-              for _, group in groupby(sorted(tails[vec.vid]), key=_REPETITION))
+              for vec in sorted(transcript.vectors,
+                                key=lambda v: (v.a_vec != proof.a_vec, v.prefix))
+              for _, group in groupby(sorted(vec.answers), key=_REPETITION))
     for group in groups:
         valid = (u for u in group if protocol.verify(instance, u.a_vec[u.i - 1], u.c, u.z))
         pair = list(islice(valid, 2))
@@ -121,9 +120,8 @@ def attempts_per_repetition(proof, transcript) -> list[int]:
     """How many challenges each repetition ground through, counted from
     the recorded tails of the proof's commitment vector."""
     counts = [0] * len(proof.a_vec)
-    tails = transcript.tails_by_vector()
     for vec in transcript.vectors:
         if vec.a_vec == proof.a_vec:
-            for tail in tails[vec.vid]:
+            for tail in vec.answers:
                 counts[int.from_bytes(_REPETITION(tail), "big") - 1] += 1
     return counts

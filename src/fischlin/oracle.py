@@ -22,13 +22,13 @@ repetition in one ``grind`` loop over the protocol's walk of encoded
 responses, which looks the midstate up once and makes no ``OracleInput``
 per attempt; all other callers use ``query``.
 
-The transcript is stored column-wise. Each commitment vector is kept once,
-with its prefix bytes and a ``tail -> y`` dict that answers repeated
-queries; in record order there are parallel lists of tails, answers and
-vector numbers. Recording a query therefore adds only bytes and ints, none
-of which the cyclic garbage collector tracks, and costs the same time and
-memory whatever k is. ``TranscriptVector.input`` decodes a recorded tail
-back into its structured query.
+Each commitment vector of the transcript is kept once, with its prefix
+bytes and ``answers``, a ``tail -> y`` dict in record order that holds each
+of its recorded queries once and answers repeats. A list of vector numbers
+gives the record order across vectors. Recording a query therefore adds
+only bytes and ints, none of which the cyclic garbage collector tracks, and
+costs the same time and memory whatever k is. ``TranscriptVector.input``
+decodes a recorded tail back into its structured query.
 """
 
 from __future__ import annotations
@@ -170,19 +170,17 @@ class TranscriptVector:
 class OracleTranscript:
     """Ordered log of distinct queries; repeats return the first answer.
 
-    ``vectors`` lists every commitment vector in first-use order. The
-    parallel lists ``tails``, ``ys`` and ``vids`` hold each recorded
-    query's tail, answer and vector number in record order."""
+    ``vectors`` lists every commitment vector in first-use order, each
+    holding its own queries in ``answers``; ``vids`` holds each recorded
+    query's vector number in record order."""
 
     def __init__(self):
         self.vectors: list[TranscriptVector] = []
         self._by_prefix: dict[bytes, TranscriptVector] = {}
-        self.tails: list[bytes] = []
-        self.ys: list[int] = []
         self.vids: list[int] = []
 
     def __len__(self):
-        return len(self.tails)
+        return len(self.vids)
 
     def vector(self, prefix: bytes, a_vec: tuple, protocol) -> TranscriptVector:
         """The vector whose encoding is ``prefix``, added if new."""
@@ -194,20 +192,9 @@ class OracleTranscript:
         return vec
 
     def record(self, vec: TranscriptVector, tail: bytes, y: int):
+        """Log a query that ``vec`` has not recorded yet."""
         vec.answers[tail] = y
-        self.tails.append(tail)
-        self.ys.append(y)
         self.vids.append(vec.vid)
-
-    def tails_by_vector(self) -> list[list[bytes]]:
-        """Each vector's tails in record order, repeats included, indexed
-        by vector number."""
-        if len(self.vectors) == 1:
-            return [self.tails]
-        out = [[] for _ in self.vectors]
-        for vid, tail in zip(self.vids, self.tails):
-            out[vid].append(tail)
-        return out
 
     def to_jsonl(self, protocol) -> str:
         """One JSON object per entry; each distinct commitment vector is
@@ -217,17 +204,21 @@ class OracleTranscript:
         heads = ['{"a": ' + json.dumps([protocol.encode_commitment(a).hex()
                                         for a in vec.a_vec]) + ', "i": '
                  for vec in self.vectors]
+        next_point = [iter(vec.answers.items()).__next__ for vec in self.vectors]
         unpack = struct.unpack_from
         return "".join([
             f'{heads[vid]}{i}, "c": {c}, "z": "{tail[10:].hex()}", "y": {y}}}\n'
-            for vid, tail, y in zip(self.vids, self.tails, self.ys)
+            for vid in self.vids
+            for tail, y in (next_point[vid](),)
             for i, c in (unpack(">II", tail),)])
 
     @classmethod
     def from_jsonl(cls, params, protocol, text: str) -> "OracleTranscript":
         """Inverse of ``to_jsonl``; raises ValueError naming a malformed line.
         Each distinct commitment vector is decoded and encoded once; a
-        response is re-encoded canonically into its tail."""
+        response is re-encoded canonically into its tail. A line that
+        repeats a recorded query is dropped if it has the same ``y`` and
+        malformed if it has another."""
         ts = cls()
         vectors: dict[tuple, TranscriptVector] = {}  # hex strings -> vector
 
@@ -245,9 +236,13 @@ class OracleTranscript:
                 continue
             try:
                 vec, tail, y = _read_point(params, protocol, json.loads(line), vector)
+                old = vec.answers.get(tail)
+                if old is None:
+                    ts.record(vec, tail, y)
+                elif old != y:
+                    raise ValueError(f"query answered both {old} and {y}")
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"transcript line {n}: {exc!r}") from None
-            ts.record(vec, tail, y)
         return ts
 
 
@@ -504,8 +499,7 @@ class RecordingOracle(HashingOracle):
         mid, prefix = self._context(a_vec)
         vec = self.transcript.vector(prefix, a_vec, self.protocol)
         answers, vid, l = vec.answers, vec.vid, self.params.l
-        ts = self.transcript
-        tails, ys, vids = ts.tails, ts.ys, ts.vids
+        vids = self.transcript.vids
         head = struct.Struct(">II").pack
         for c, (z, enc) in zip(range(attempts), walk):
             tail = head(i, c) + pack_field(enc)
@@ -514,8 +508,6 @@ class RecordingOracle(HashingOracle):
                 h = mid.copy()
                 h.update(tail)
                 answers[tail] = y = _truncate(h.digest(), l)
-                tails.append(tail)
-                ys.append(y)
                 vids.append(vid)
             if y == 0:
                 return c, z

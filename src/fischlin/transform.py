@@ -61,8 +61,8 @@ class FischlinParams:
             raise ValueError("k must be positive")
         if not 1 <= self.l <= 64:
             raise ValueError("l must be in [1, 64]")
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
+        if not 2 <= self.N < 1 << 32:
+            raise ValueError("N must be in [2, 2^32), the range of its u32 field")
         if not 1 <= self.T <= self.N:
             raise ValueError("T must be in [1, N]")
 
@@ -82,7 +82,11 @@ class FischlinParams:
         """Rate-based derivation N = round(c * 2^l * log2 k), T = N."""
         if k < 2 or l < 1 or c_rate <= 0:
             raise ValueError("arguments must be positive (k >= 2)")
-        n = round(c_rate * 2.0 ** l * math.log2(k))
+        try:
+            n = round(c_rate * 2.0 ** l * math.log2(k))
+        except (OverflowError, ValueError):  # an infinite or NaN product
+            raise ValueError(f"c * 2^l * log2 k is not finite at c = {c_rate}, "
+                             f"l = {l}") from None
         return cls(k=k, l=l, N=n, T=n, c_rate=c_rate)
 
 

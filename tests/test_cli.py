@@ -163,6 +163,33 @@ class TestProveVerifyPipeline:
         assert code == 0
         assert json.loads(out)["w"] == json.loads(wit.read_text())["w"]
 
+    @pytest.mark.parametrize("shift", [0, 1], ids=["same-y", "other-y"])
+    def test_repeated_transcript_line(self, tmp_path, capsys, keypair, shift):
+        # a transcript lists each query once: a repeated line with the same
+        # y is dropped, so extraction finds what it finds without it, and
+        # one with another y is malformed, named by its line number
+        inst, wit = keypair
+        proof, record = tmp_path / "proof.bin", tmp_path / "transcript.jsonl"
+        code, _, _ = run(capsys, "prove", "--instance", str(inst),
+                         "--witness", str(wit), "--k", "8", "--l", "6",
+                         "--c", "4", "--out", str(proof),
+                         "--record", str(record), "--seed", "2")
+        assert code == 0
+        argv = ["extract", "--instance", str(inst), "--proof", str(proof),
+                "--transcript", str(record)]
+        want = run(capsys, *argv)
+        assert want[0] == 0 and json.loads(want[1])["status"] == "Extracted"
+        lines = record.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["y"] = (rec["y"] + shift) % 64
+        record.write_text("\n".join([*lines, json.dumps(rec)]) + "\n")
+        got = run(capsys, *argv)
+        if shift:
+            assert got[0] == 2 and got[1] == ""
+            assert got[2].startswith(f"error: transcript line {len(lines) + 1}: ")
+        else:
+            assert got == want
+
     def test_config_file_params(self, tmp_path, capsys, keypair):
         inst, wit = keypair
         cfg = tmp_path / "config.json"
@@ -266,6 +293,34 @@ class TestProveVerifyPipeline:
                              "--instance", str(inst), "--transcript", str(record))
         assert code == 2 and out == ""
         assert err.startswith("error: transcript line 1:")
+
+    # A rate that makes N infinite, NaN or too big for the proof's u32
+    # field, passed to prove or simulate by flag or by config.
+    @pytest.mark.parametrize("command,argv", [
+        ("prove", ["--c", "inf"]),
+        ("prove", ["--c", "1e400"]),
+        ("prove", ["--c", "1e10"]),
+        ("prove", ["--n", str(1 << 32)]),
+        ("prove", {"c": "inf"}),
+        ("simulate", ["--c", "inf"]),
+        ("simulate", ["--c", "1e400"]),
+        ("simulate", {"c": "inf"}),
+    ], ids=["prove-c-inf", "prove-c-1e400", "prove-n-past-u32", "prove-n-2^32",
+            "prove-config-c-inf", "simulate-c-inf", "simulate-c-1e400",
+            "simulate-config-c-inf"])
+    def test_rate_out_of_range_exits_2(self, tmp_path, capsys, keypair, command, argv):
+        inst, wit = keypair
+        if isinstance(argv, dict):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"params": argv}))
+            argv = ["--config", str(cfg)]
+        files = ["--witness", str(wit)] if command == "prove" else \
+            ["--table-out", str(tmp_path / "table.json")]
+        code, out, err = run(capsys, command, "--instance", str(inst), *files,
+                             "--k", "8", "--l", "6", *argv,
+                             "--out", str(tmp_path / "proof.bin"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -423,6 +478,12 @@ class TestBoundsPlanLab:
         with pytest.raises(ValueError, match="grid exponent"):
             _parse_grid(spec)
 
+    @pytest.mark.parametrize("c", ["inf", "1e308"])
+    def test_plan_huge_rate_exits_2(self, capsys, c):
+        code, out, err = run(capsys, "plan", "--k", "16", "--c", c, "--base-n", "509")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_plan(self, capsys):
         code, out, _ = run(capsys, "plan", "--k", str(2 ** 30), "--c", "1",
                            "--base-n", "509")
@@ -448,6 +509,15 @@ class TestBoundsPlanLab:
             rep = json.loads(out)
             assert rep["pass"] is True
             assert {"check", "params", "measured", "bound", "pass"} <= set(rep)
+
+    # no trials: a division by zero in chernoff and martingale, and a
+    # vacuous pass with infinite margins in measure
+    @pytest.mark.parametrize("check,trials", [
+        ("chernoff", "0"), ("martingale", "0"), ("measure", "0"), ("measure", "-1")])
+    def test_lab_trials_below_one_exits_2(self, capsys, check, trials):
+        code, out, err = run(capsys, "lab", check, "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == "error: --trials must be at least 1\n"
 
     def test_lab_detects_tail_defect(self, capsys):
         # the known falsified corner of the linear-rate tail bound

@@ -400,8 +400,10 @@ class TestTranscriptSerialization:
 def reference_to_jsonl(ts, protocol):
     hexes = [[protocol.encode_commitment(a).hex() for a in vec.a_vec]
              for vec in ts.vectors]
+    points = [iter(vec.answers.items()) for vec in ts.vectors]
     lines = []
-    for vid, tail, y in zip(ts.vids, ts.tails, ts.ys):
+    for vid in ts.vids:
+        tail, y = next(points[vid])
         i, c = struct.unpack_from(">II", tail)
         lines.append(json.dumps({"a": hexes[vid], "i": i, "c": c,
                                  "z": tail[10:].hex(), "y": y}) + "\n")
@@ -409,11 +411,13 @@ def reference_to_jsonl(ts, protocol):
 
 
 # Reference: the JSONL parser as it was when every line became a decoded
-# ``OracleInput`` inside a ``TranscriptEntry``. It returns the entries as
-# (prefix, tail, input, y) tuples.
+# ``OracleInput`` inside a ``TranscriptEntry``, with the rule for repeated
+# queries added since: a repeat with the same y is dropped, one with
+# another y is malformed. It returns the entries as (prefix, tail, input,
+# y) tuples.
 
 def reference_from_jsonl(params, protocol, text):
-    entries, vectors = [], {}  # hex strings -> (a_vec, prefix)
+    entries, vectors, seen = [], {}, {}  # hex strings -> (a_vec, prefix); key -> y
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -433,9 +437,13 @@ def reference_from_jsonl(params, protocol, text):
             if not 0 <= c < params.N:
                 raise ValueError("challenge out of range")
             tail = struct.pack(">II", i, c) + pack_field(protocol.encode_response(inp.z))
+            old = seen.setdefault((vec[1], tail), y)
+            if old != y:
+                raise ValueError(f"query answered both {old} and {y}")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"transcript line {n}: {exc!r}") from None
-        entries.append((vec[1], tail, inp, y))
+        if len(seen) > len(entries):
+            entries.append((vec[1], tail, inp, y))
     return entries
 
 
@@ -451,7 +459,8 @@ def jsonl_cases(draw):
     """(params, protocol, text, mutation): an honest transcript over one or
     two commitment vectors, then one line cut, byte-flipped or extended, a
     field given a wrong JSON type or removed, a leading 00 put on a hex
-    field, blank lines added, or left as is."""
+    field, blank lines added, a line repeated with the same or another y,
+    or left as is."""
     protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
     params = FischlinParams(k=draw(st.integers(1, 3)), l=4, N=n, T=n)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -466,7 +475,8 @@ def jsonl_cases(draw):
                                                   SigmaWitness(7), c)))
     lines = oracle.transcript.to_jsonl(protocol).splitlines()
     mutation = draw(st.sampled_from(
-        ["none", "cut", "flip", "extend", "type", "missing", "zero", "blank"]))
+        ["none", "cut", "flip", "extend", "type", "missing", "zero", "blank",
+         "repeat", "repeat-other"]))
     j = draw(st.integers(0, len(lines) - 1))
     line = lines[j]
     if mutation == "cut":
@@ -496,6 +506,10 @@ def jsonl_cases(draw):
     elif mutation == "blank":
         line = draw(st.sampled_from(["", " ", "\t"])) + "\n" + line
     lines[j] = line
+    if mutation.startswith("repeat"):
+        rec = json.loads(line)
+        rec["y"] = (rec["y"] + (mutation == "repeat-other")) % 16
+        lines.insert(draw(st.integers(0, len(lines))), json.dumps(rec))
     return params, protocol, "".join(f"{x}\n" for x in lines), mutation
 
 
@@ -503,9 +517,11 @@ class TestTranscriptParserFuzz:
     @settings(max_examples=300, deadline=None)
     @given(jsonl_cases())
     def test_matches_reference(self, case):
-        """The column-wise parser raises the reference's ValueError message
-        or returns its entries; no other exception escapes, and an
-        unchanged transcript round-trips byte for byte."""
+        """The parser raises the reference's ValueError message or returns
+        its entries; no other exception escapes, a line repeated with
+        another y is rejected, and an unchanged transcript, or one with a
+        line repeated with its own y, reads back to its honest entries,
+        writing the unchanged one back byte for byte."""
         params, protocol, text, mutation = case
         try:
             want = reference_from_jsonl(params, protocol, text)
@@ -513,11 +529,16 @@ class TestTranscriptParserFuzz:
             with pytest.raises(ValueError) as got:
                 OracleTranscript.from_jsonl(params, protocol, text)
             assert str(got.value) == str(exc)
+            assert mutation not in ("none", "repeat")
             return
+        assert mutation != "repeat-other"
         ts = OracleTranscript.from_jsonl(params, protocol, text)
         assert [(e.prefix, e.tail, e.inp, e.y) for e in entries(ts)] == want
+        assert len(ts) == sum(len(v.answers) for v in ts.vectors)
         if mutation == "none":
             assert ts.to_jsonl(protocol) == text
+        elif mutation == "repeat":
+            assert len(ts) == len(text.splitlines()) - 1
 
 
 @st.composite

@@ -442,8 +442,8 @@ def prove_cases(draw):
 
 def prove_twice(prover, params, protocol, seed, kind):
     """Two proofs (or Abort messages) from the same rng seed on one oracle,
-    so the second is answered from the transcript, then the transcript
-    columns and the table."""
+    so the second is answered from the transcript, then the transcript's
+    vector numbers and answer maps (in record order), and the table."""
     inst, wit = PROVE_INSTANCE
     oracle = RecordingOracle(params, protocol, derive_seed(seed))
     if kind == "table":
@@ -463,7 +463,9 @@ def prove_twice(prover, params, protocol, seed, kind):
         except Abort as exc:
             out.append(str(exc))
     ts = oracle.transcript
-    return out, (ts.tails, ts.ys, ts.vids, oracle.table.overrides)
+    assert len(ts) == sum(len(v.answers) for v in ts.vectors)
+    return out, (ts.vids, [list(v.answers.items()) for v in ts.vectors],
+                 oracle.table.overrides)
 
 
 class TestProverMatchesReference:
@@ -471,7 +473,7 @@ class TestProverMatchesReference:
     @given(prove_cases())
     def test_same_proofs_and_transcript(self, case):
         """prove gives the reference's proofs, or both abort with the same
-        message, and leaves the same transcript columns and table; the
+        message, and leaves the same transcript and table; the
         second prove on the same oracle repeats the first."""
         params, protocol, seed, kind = case
         got = prove_twice(prove, params, protocol, seed, kind)
@@ -556,6 +558,8 @@ class TestHashingMatchesRecording:
         proof = prove_on(hashing, params, protocol, seed)
         assert proof == prove_on(recording, params, protocol, seed)
         assert hashing.attempts == len(recording.transcript) == recording.attempts
+        assert len(recording.transcript) == sum(
+            len(v.answers) for v in recording.transcript.vectors)
         if isinstance(proof, str):
             return
         assert hashing.attempts == sum(proof.c_vec) + params.k

@@ -1,7 +1,8 @@
 """A decoded, record-order view of an ``OracleTranscript`` for the tests.
 
-The transcript stores tails, answers and vector numbers column-wise; the
-tests compare whole recorded queries, so this rebuilds each one from its
+The transcript keeps each recorded query once, in its vector's ``answers``,
+and the record order across vectors as a list of vector numbers; the tests
+compare whole recorded queries, so this rebuilds each one from its
 vector's prefix and ``TranscriptVector.input``."""
 
 from typing import NamedTuple
@@ -27,5 +28,6 @@ class Entry(NamedTuple):
 def entries(transcript) -> list[Entry]:
     """Every recorded query of ``transcript``, decoded, in record order."""
     vectors = transcript.vectors
+    points = [iter(vec.answers.items()) for vec in vectors]
     return [Entry(vectors[vid].prefix, tail, vectors[vid].input(tail), y)
-            for vid, tail, y in zip(transcript.vids, transcript.tails, transcript.ys)]
+            for vid in transcript.vids for tail, y in (next(points[vid]),)]
