@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 
+from .transform import FischlinParams
+
 __all__ = [
     "BoundParams",
     "BoundReport",
@@ -290,7 +292,8 @@ def plan_parameters(k_target: int, c_rate: float, base_space: int) -> dict:
     """Instantiation recipe: l = max(14, ceil(log2 log2 k + log2 c + 8)),
     N = round(c 2^l log2 k), and the repetition count r = ceil(log_base N)
     needed to reach a challenge space of size N over a base protocol with
-    ``base_space`` challenges."""
+    ``base_space`` challenges. A recipe that ``FischlinParams`` refuses
+    (l above 64, N of 2^32 or more) raises ValueError."""
     if k_target < 2 or base_space < 2:
         raise ValueError("need k >= 2 and a base challenge space >= 2")
     if c_rate <= 0:
@@ -301,6 +304,10 @@ def plan_parameters(k_target: int, c_rate: float, base_space: int) -> dict:
         n = round(c_rate * 2.0 ** l * math.log2(k_target))
     except OverflowError:
         raise ValueError(f"c = {c_rate} is too large: 2^l or N overflows a float") from None
+    try:
+        FischlinParams(k=k_target, l=l, N=n, T=n)
+    except ValueError as exc:
+        raise ValueError(f"c = {c_rate} gives a recipe prove cannot use: {exc}") from None
     r = 1
     cap = base_space
     while cap < n:

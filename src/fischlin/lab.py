@@ -279,6 +279,8 @@ def sequential_measure_martingale(state: TensorState, epsilon: float,
     a per-trial random variable, exactly as the martingale argument wants.
     Environment axes are never measured.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     m = state.m
     pmf = np.abs(state.amps) ** 2
     for _ in range(state.env_axes):
@@ -333,6 +335,8 @@ def chernoff_mc(n: int, p: float, delta: float, trials: int, rng) -> ChernoffRep
     exp(-mu delta^2 / 3) and exp(-mu delta^2 / 2)."""
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     mu = n * p
     x = rng.binomial(n, p, size=trials)
     upper_emp = float(np.mean(x >= (1.0 + delta) * mu))

@@ -29,14 +29,24 @@ gives the record order across vectors. Recording a query therefore adds
 only bytes and ints, none of which the cyclic garbage collector tracks, and
 costs the same time and memory whatever k is. ``TranscriptVector.input``
 decodes a recorded tail back into its structured query.
+
+The transcript's JSONL is grouped like the table: a vector line
+``{"a": [hex, ...]}`` each time the record order moves to another vector,
+then that vector's point lines ``{"i", "c", "z", "y"}``. The reader also
+takes the earlier line format, whose every line holds ``a`` and a point,
+by one rule: ``a`` picks the vector and any other key makes a point line.
+A point line in the writer's own text shape is read with one pattern match;
+every other line goes through ``json.loads``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .sigma import FieldReader, pack_field
 
@@ -197,45 +207,69 @@ class OracleTranscript:
         self.vids.append(vec.vid)
 
     def to_jsonl(self, protocol) -> str:
-        """One JSON object per entry; each distinct commitment vector is
-        hex-encoded once, and ``z`` is the tail's canonical response field.
-        The bytes are those of ``json.dumps`` of ``{"a", "i", "c", "z",
-        "y"}``, with each vector's text up to ``i`` built once."""
-        heads = ['{"a": ' + json.dumps([protocol.encode_commitment(a).hex()
-                                        for a in vec.a_vec]) + ', "i": '
-                 for vec in self.vectors]
-        next_point = [iter(vec.answers.items()).__next__ for vec in self.vectors]
+        """Grouped JSONL: a vector line ``{"a": [hex, ...]}`` each time the
+        record order moves to another commitment vector, then one point line
+        ``{"i", "c", "z", "y"}`` per query of that vector, in record order;
+        ``z`` is the tail's canonical response field. Each line is the text
+        of ``json.dumps`` of its object."""
+        heads = [json.dumps({"a": [protocol.encode_commitment(a).hex() for a in vec.a_vec]})
+                 + "\n" for vec in self.vectors]
+        points = [iter(vec.answers.items()) for vec in self.vectors]
         unpack = struct.unpack_from
-        return "".join([
-            f'{heads[vid]}{i}, "c": {c}, "z": "{tail[10:].hex()}", "y": {y}}}\n'
-            for vid in self.vids
-            for tail, y in (next_point[vid](),)
-            for i, c in (unpack(">II", tail),)])
+        out = []
+        for vid, run in groupby(self.vids):
+            out.append(heads[vid])
+            out += [f'{{"i": {i}, "c": {c}, "z": "{tail[10:].hex()}", "y": {y}}}\n'
+                    for _, (tail, y) in zip(run, points[vid])
+                    for i, c in (unpack(">II", tail),)]
+        return "".join(out)
 
     @classmethod
     def from_jsonl(cls, params, protocol, text: str) -> "OracleTranscript":
-        """Inverse of ``to_jsonl``; raises ValueError naming a malformed line.
-        Each distinct commitment vector is decoded and encoded once; a
-        response is re-encoded canonically into its tail. A line that
-        repeats a recorded query is dropped if it has the same ``y`` and
-        malformed if it has another."""
+        """Inverse of ``to_jsonl``, which also reads the earlier line format
+        (``a`` and a point on every line); raises ValueError naming a
+        malformed line. A line's ``a`` picks the current vector, and a line
+        with any other key is a point of the current vector; a point before
+        any vector is malformed. Each distinct commitment vector is decoded
+        and encoded once; a response is re-encoded canonically into its
+        tail. A point that repeats a recorded query is dropped if it has the
+        same ``y`` and malformed if it has another.
+
+        A point line in the writer's text shape whose values are in range is
+        read by ``_POINT_LINE`` without ``json.loads``; it gives the same
+        tail and ``y`` as the JSON path, which reads every other line and
+        names any error."""
         ts = cls()
         vectors: dict[tuple, TranscriptVector] = {}  # hex strings -> vector
-
-        def vector(rec) -> TranscriptVector:
-            hexes = tuple(rec["a"])
-            vec = vectors.get(hexes)
-            if vec is None:
-                a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
-                vec = vectors[hexes] = ts.vector(
-                    _encode_prefix(params, protocol, a_vec), a_vec, protocol)
-            return vec
-
+        vec = None
+        match, canonical = _POINT_LINE.fullmatch, protocol.canonical_response
+        head = struct.Struct(">II").pack
+        k, n_max, y_max = params.k, params.N, 1 << params.l
         for n, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
             try:
-                vec, tail, y = _read_point(params, protocol, json.loads(line), vector)
+                m = vec is not None and match(line)
+                if m:
+                    i, c, z, y = m.groups()
+                    i, c, y = int(i), int(c), int(y)
+                if m and 1 <= i <= k and c < n_max and y < y_max:
+                    tail = head(i, c) + pack_field(canonical(bytes.fromhex(z)))
+                elif not line.strip():
+                    continue
+                else:
+                    rec = json.loads(line)
+                    if "a" in rec:
+                        hexes = tuple(rec["a"])
+                        vec = vectors.get(hexes)
+                        if vec is None:
+                            a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h))
+                                          for h in hexes)
+                            vec = vectors[hexes] = ts.vector(
+                                _encode_prefix(params, protocol, a_vec), a_vec, protocol)
+                        if len(rec) == 1:
+                            continue
+                    elif vec is None:
+                        raise ValueError("point line before any vector line")
+                    tail, y = _read_point(params, protocol, rec)
                 old = vec.answers.get(tail)
                 if old is None:
                     ts.record(vec, tail, y)
@@ -246,18 +280,23 @@ class OracleTranscript:
         return ts
 
 
-def _read_point(params, protocol, rec, vector) -> tuple:
-    """(vector(rec), tail, y) of a JSON point record ``{i, c, z, y}``, the
-    record shape of the transcript JSONL and the reprogram table. i, c and
-    y are checked before ``vector`` is called, and the response is
+# A point line exactly as ``to_jsonl`` writes it: ints without a leading
+# zero and short enough to need no big-int parse, lowercase even-length hex.
+_INT = "(0|[1-9][0-9]{0,18})"
+_POINT_LINE = re.compile(r'\{"i": %s, "c": %s, "z": "((?:[0-9a-f]{2})*)", "y": %s\}'
+                         % (_INT, _INT, _INT))
+
+
+def _read_point(params, protocol, rec) -> tuple:
+    """(tail, y) of a JSON point record ``{i, c, z, y}``, the record shape
+    of the transcript JSONL and the reprogram table. The response is
     re-encoded canonically; a malformed record raises KeyError, TypeError
     or ValueError."""
     i, c, y = rec["i"], rec["c"], rec["y"]
     if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
         raise ValueError("i, c and y must be integers, y in [0, 2^l)")
-    vec = vector(rec)
     response = protocol.canonical_response(bytes.fromhex(rec["z"]))
-    return vec, _encode_tail(params, i, c, response), y
+    return _encode_tail(params, i, c, response), y
 
 
 def _split_key(params, key: bytes, last: bytes) -> tuple:
@@ -373,7 +412,7 @@ class ReprogramTable:
                 raise ValueError(f"table vector {v}: {exc!r}") from None
             for n, point in enumerate(points):
                 try:
-                    _, tail, y = _read_point(params, protocol, point, lambda _: None)
+                    tail, y = _read_point(params, protocol, point)
                     program((prefix, tail), y)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table vector {v} point {n}: {exc!r}") from None

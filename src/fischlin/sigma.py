@@ -274,10 +274,19 @@ def _pack(parts) -> bytes:
 
 
 def _unpack(data: bytes, count: int) -> list[bytes]:
-    """Exactly ``count`` packed fields; ValueError on a cut or longer list."""
-    reader = FieldReader(data, "element list")
-    parts = [reader.field() for _ in range(count)]
-    reader.end()
+    """Exactly ``count`` packed fields; ValueError on a cut or longer list.
+    Reads each length from two indexed bytes, with no ``FieldReader``: this
+    runs per commitment and per response read from a file."""
+    parts, end = [], 0
+    try:
+        for _ in range(count):
+            start = end + 2
+            end = start + (data[end] << 8 | data[end + 1])
+            parts.append(data[start:end])
+    except IndexError:  # a cut length
+        raise ValueError("truncated element list") from None
+    if end != len(data):
+        raise ValueError("truncated element list" if end > len(data) else "trailing bytes")
     return parts
 
 
@@ -384,10 +393,13 @@ class RepeatedSigma:
         return tuple(self.base.decode_response(p) for p in _unpack(data, self.copies))
 
     def canonical_response(self, data: bytes) -> bytes:
-        """``encode_response(decode_response(data))``, without decoding."""
+        """``encode_response(decode_response(data))``, without decoding: the
+        base's ``encode_int`` codec changes a part only if it starts with 00."""
         parts = _unpack(data, self.copies)
-        canon = [self.base.canonical_response(p) for p in parts]
-        return data if canon == parts else _pack(canon)
+        for part in parts:
+            if part[:1] == b"\0":
+                return _pack(self.base.canonical_response(p) for p in parts)
+        return data
     canonical_commitment = canonical_response  # packs the base's shared codec
 
 

@@ -213,6 +213,12 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan_parameters(16, 0.0, 509)
 
+    @pytest.mark.parametrize("c,why", [(1e6, "N must be"), (1e100, "l must be")])
+    def test_recipe_prove_cannot_use(self, c, why):
+        # FischlinParams' own ranges: l in [1, 64] and N < 2^32
+        with pytest.raises(ValueError, match=why):
+            plan_parameters(16, c, 509)
+
 
 class TestLift:
     def test_smallest_case(self):

@@ -180,7 +180,7 @@ class TestProveVerifyPipeline:
         want = run(capsys, *argv)
         assert want[0] == 0 and json.loads(want[1])["status"] == "Extracted"
         lines = record.read_text().splitlines()
-        rec = json.loads(lines[0])
+        rec = json.loads(lines[1])  # the first point line, after the vector line
         rec["y"] = (rec["y"] + shift) % 64
         record.write_text("\n".join([*lines, json.dumps(rec)]) + "\n")
         got = run(capsys, *argv)
@@ -207,8 +207,9 @@ class TestProveVerifyPipeline:
     # Each case points one input file of verify (--proof, --table,
     # --instance), extract (--transcript) or prove (--witness, --config) at
     # a missing (None) or malformed file; a dict replaces fields of a
-    # recorded transcript line, and bytes are written as they are. The bad
-    # file is passed last, so it overrides the good one of the same flag.
+    # recorded transcript point written in the line format, and bytes are
+    # written as they are. The bad file is passed last, so it overrides the
+    # good one of the same flag.
     @pytest.mark.parametrize("flag,content", [
         ("--proof", None),
         ("--proof", THREE_PART_PROOF),
@@ -258,8 +259,9 @@ class TestProveVerifyPipeline:
         assert code == 0
         bad = tmp_path / "bad"
         if isinstance(content, dict):
-            rec = json.loads(record.read_text().splitlines()[0])
-            content = json.dumps(dict(rec, **content))
+            # the vector line and the first point line, as one line-format line
+            vector, point = record.read_text().splitlines()[:2]
+            content = json.dumps({**json.loads(vector), **json.loads(point), **content})
         if isinstance(content, bytes):
             bad.write_bytes(content)
         elif content is not None:
@@ -285,14 +287,14 @@ class TestProveVerifyPipeline:
                          "--n", "600", "--out", str(proof),
                          "--record", str(record), "--seed", "5")
         assert code == 0
-        first, *rest = record.read_text().splitlines()
-        rec = json.loads(first)
+        vector, point, *rest = record.read_text().splitlines()
+        rec = json.loads(point)
         rec["z"] += "000140"  # a third packed element, 0x40
-        record.write_text("\n".join([json.dumps(rec), *rest]) + "\n")
+        record.write_text("\n".join([vector, json.dumps(rec), *rest]) + "\n")
         code, out, err = run(capsys, "extract", "--proof", str(proof),
                              "--instance", str(inst), "--transcript", str(record))
         assert code == 2 and out == ""
-        assert err.startswith("error: transcript line 1:")
+        assert err.startswith("error: transcript line 2:")
 
     # A rate that makes N infinite, NaN or too big for the proof's u32
     # field, passed to prove or simulate by flag or by config.
@@ -328,6 +330,19 @@ class TestProveVerifyPipeline:
         assert exc.value.code == 2
 
 
+def line_format(text: str) -> str:
+    """A grouped transcript in the earlier line format: each point line
+    with its vector's ``a`` put first."""
+    out = []
+    for line in text.splitlines():
+        rec = json.loads(line)
+        if "a" in rec:
+            a = rec["a"]
+        else:
+            out.append(json.dumps({"a": a, **rec}) + "\n")
+    return "".join(out)
+
+
 class TestProveMemory:
     def test_prove_keeps_nothing_per_query(self, tmp_path, capsys, keypair):
         # without --record the prover's oracle keeps no transcript: the
@@ -345,11 +360,29 @@ class TestProveMemory:
         assert code == 0 and json.loads(out)["queries"] == 61764
         assert peak < 1_000_000
 
+    def test_record_keeps_the_peak_small(self, tmp_path, capsys, keypair):
+        # the grouped transcript of a k=256, l=8, c=2 prove is about 3.3 MB
+        # and its traced peak about 17 MB; written in the line format, where
+        # every line repeats the 256 commitments, it was 315 MB with a
+        # traced peak of 641 MB
+        inst, wit = keypair
+        record = tmp_path / "t.jsonl"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "prove", "--instance", str(inst), "--witness", str(wit),
+                             "--k", "256", "--l", "8", "--c", "2", "--seed", "11",
+                             "--out", str(tmp_path / "proof.bin"), "--record", str(record))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and record.stat().st_size < 4_000_000
+        assert peak < 64_000_000
+
     def test_record_adds_only_the_transcript(self, tmp_path, capsys, keypair):
         # --record changes neither stdout nor the proof bytes, and writes
+        # the grouped transcript; spread back into the line format, it is
         # the transcript that the recording oracle wrote before it had a
-        # hashing base class (pinned digests). k=16 keeps the file at
-        # 2.4 MB; at k=256 it is about 230 MB.
+        # hashing base class (pinned digests).
         inst, wit = keypair
         proof, record = tmp_path / "proof.bin", tmp_path / "t.jsonl"
         argv = ["prove", "--instance", str(inst), "--witness", str(wit), "--k", "16",
@@ -362,6 +395,8 @@ class TestProveMemory:
         assert json.loads(runs[0][1])["queries"] == 6496
         assert runs[0][2] == "5bab4e020a626ed115ee535241a46bda61733aa16d9f54457b8114da01cad75e"
         assert hashlib.sha256(record.read_bytes()).hexdigest() == \
+            "4a5b32c70358f57c84ad482994e9c62b62e3a1d6fe4adba6c024c1aa2c462065"
+        assert hashlib.sha256(line_format(record.read_text()).encode()).hexdigest() == \
             "2f2e3d1dc13c72d955837e54249358b8d33232140793d14d7d2ce045724b77c5"
 
 
@@ -478,7 +513,8 @@ class TestBoundsPlanLab:
         with pytest.raises(ValueError, match="grid exponent"):
             _parse_grid(spec)
 
-    @pytest.mark.parametrize("c", ["inf", "1e308"])
+    # 1e6 gives N of about 4.3e15 >= 2^32, 1e100 gives l = 343 > 64
+    @pytest.mark.parametrize("c", ["inf", "1e308", "1e6", "1e100"])
     def test_plan_huge_rate_exits_2(self, capsys, c):
         code, out, err = run(capsys, "plan", "--k", "16", "--c", c, "--base-n", "509")
         assert code == 2 and out == ""

@@ -17,6 +17,17 @@ records. The proof and stdout of that step are unchanged, and
 ``verify-table-list`` replays the list-format table the earlier
 ``simulate`` wrote for the same step (``data/simulate_table_list_format.json``)
 and must give the same stdout and transcript, so the same digest.
+
+Four more changed on purpose, those of the steps that write an oracle
+transcript: ``prove-record``, ``verify-record``, ``verify-table`` and
+``verify-table-list``. The transcript is grouped by commitment vector (a
+``{"a": [hex, ...]}`` line each time the record order moves to another
+vector, then ``{i, c, z, y}`` point lines) instead of repeating the ``a``
+list on every line. Their proofs and stdout are unchanged, and so are the
+digests of ``extract`` and ``extract-no-pair``, which read those files.
+``extract-line-format`` reads the line-format transcript the earlier
+``prove-record`` wrote (``data/prove_record_line_format.jsonl``) and must
+give the same stdout as ``extract``, so the same digest.
 """
 
 import contextlib
@@ -30,8 +41,9 @@ from fischlin.cli import main
 
 GROUP = ["--p", "1019", "--q", "509", "--g", "4"]
 KEYS = ["--instance", "inst.json"]
-LIST_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                          "simulate_table_list_format.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+LIST_TABLE = os.path.join(DATA, "simulate_table_list_format.json")
+LINE_TRANSCRIPT = os.path.join(DATA, "prove_record_line_format.jsonl")
 
 # (step name, argv, files the step writes)
 STEPS = [
@@ -47,6 +59,9 @@ STEPS = [
                       "--record", "pr.jsonl"], ["pr.bin", "pr.jsonl"]),
     ("verify", ["verify", *KEYS, "--proof", "pc.bin", "--seed", "3"], []),
     ("extract", ["extract", *KEYS, "--proof", "pr.bin", "--transcript", "pr.jsonl"], []),
+    # the same extraction from the transcript in its earlier line format
+    ("extract-line-format", ["extract", *KEYS, "--proof", "pr.bin",
+                             "--transcript", LINE_TRANSCRIPT], []),
     # the verifier's own queries: one entry per repetition, so no pair
     ("verify-record", ["verify", *KEYS, "--proof", "pr.bin", "--seed", "2",
                        "--record", "v.jsonl"], ["v.jsonl"]),
@@ -84,14 +99,15 @@ EXPECTED = {
     "keygen": "3d457fdb15e4b09d91d5cb0092e9500e8a8939887ffe6caf142097292629e8ce",
     "prove-c": "b0168f3b5fcc3c26e9164b5d2374daf73645ea848ff5f6ccb31deb513da8cb08",
     "prove-n": "1c613626a2458d774b3a0005a667d58fdae9dfcda4fc2eb3ff9f5cdbe69d1133",
-    "prove-record": "d19746fdc25b51d905d28f6052d49bc252a3fd61987b699948064ff9f592c2ca",
+    "prove-record": "90c22d4cebedbc34375fad73c5b5258969cb08126f3510f8e03b0ec4e37cfc25",
     "verify": "f67e83f458b50bafe7ebcc52c6e223b37d6933bbb7187e4840152950aea04ac5",
     "extract": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
-    "verify-record": "47e2b5e31c19ce6d12948bb4eb6d34023adae6ea3b66471536cdfc797544757e",
+    "extract-line-format": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
+    "verify-record": "31f8298e2004e5001408f99b5356bdd5f53e1f7df6fe1cedd0f01315bcb635c1",
     "extract-no-pair": "4c7104c435b5ae045823f94cb1abab7c5b48b23aa564b247b9c0037b58980354",
     "simulate": "eac323dab1d3824694be7ad7f52aa71909080cb7c344f78cb80a08cdcc32c994",
-    "verify-table": "ab815af76207a7e32269b55e21a6fd8aa4fccb606b119e51df21ed92af543f47",
-    "verify-table-list": "ab815af76207a7e32269b55e21a6fd8aa4fccb606b119e51df21ed92af543f47",
+    "verify-table": "40d91a23eb5bcc2780225745fbf11a167d00c845816eb9f64078242a713e32bf",
+    "verify-table-list": "40d91a23eb5bcc2780225745fbf11a167d00c845816eb9f64078242a713e32bf",
     "bounds-point": "8a7e39d33dbb2816aba111968183056a0b0f55210fece39f4b1db39ccea89140",
     "bounds-point-vacuous": "b62fedef14c3f2c74731a79dd69f4b0e920605aa6b0da1eafdb27a6da8d79a90",
     "bounds-grid": "c879ccb70ff387085fa93ba425ecaef32404be8ed71e623c011ad9c6995aa525",
@@ -142,3 +158,7 @@ def test_output_unchanged(digests, step):
 
 def test_list_table_replays_like_grouped_table(digests):
     assert digests["verify-table-list"] == digests["verify-table"]
+
+
+def test_line_transcript_extracts_like_grouped(digests):
+    assert digests["extract-line-format"] == digests["extract"]

@@ -270,6 +270,16 @@ class TestChernoffMC:
             chernoff_mc(10, 0.5, 0.0, 10, rng)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_rejected(trials):
+    # both Monte-Carlo checks divide by the trial count
+    rng = np.random.default_rng(15)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        chernoff_mc(64, 0.5, 0.5, trials, rng)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        sequential_measure_martingale(build_symmetric_state(2, 1, 1, rng), 1.0, trials, rng)
+
+
 class TestQuerySmoke:
     def test_binary_domain(self):
         rep = query_unitary_smoke(1, 2)

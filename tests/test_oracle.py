@@ -4,12 +4,14 @@ import json
 import random
 import struct
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fischlin.oracle import (
+    _POINT_LINE,
     OracleInput,
     OracleTranscript,
     RecordingOracle,
@@ -310,6 +312,16 @@ class TestTranscriptSerialization:
     def test_empty_transcript_serializes_empty(self, proto):
         assert OracleTranscript().to_jsonl(proto) == ""
 
+    @pytest.mark.parametrize("key,value,why", [
+        ("i", 0, "repetition index"), ("i", 3, "repetition index"),
+        ("c", 16, "challenge"), ("y", 16, r"y in \[0, 2\^l\)")])
+    def test_point_out_of_range(self, proto, key, value, why):
+        # a point line in the writer's own text shape, one value just out of range
+        point = json.dumps({"i": 1, "c": 0, "z": "40", "y": 0, key: value})
+        assert _POINT_LINE.fullmatch(point)
+        with pytest.raises(ValueError, match="transcript line 2: .*" + why):
+            OracleTranscript.from_jsonl(PARAMS, proto, f'{{"a": ["40", "50"]}}\n{point}\n')
+
     def test_table_json(self, proto):
         oracle = RecordingOracle(PARAMS, proto, derive_seed(44))
         inp = OracleInput((64, 80), 1, 3, 17)
@@ -333,7 +345,18 @@ class TestTranscriptSerialization:
                                      (rng.randrange(509), rng.randrange(509))))
         ts = oracle.transcript
         assert len(ts.vectors) == 2
-        assert ts.to_jsonl(protocol) == reference_to_jsonl(ts, protocol)
+        # the line format with each run of one vector's lines grouped under
+        # one vector line, every line the text of json.dumps
+        want, last = [], None
+        for line in reference_to_jsonl(ts, protocol).splitlines():
+            rec = json.loads(line)
+            a = rec.pop("a")
+            if a != last:
+                want.append(json.dumps({"a": a}))
+                last = a
+            want.append(json.dumps(rec))
+        assert len(want) > len(ts) + 2
+        assert ts.to_jsonl(protocol).splitlines() == want
 
     @pytest.mark.parametrize("key", [
         KEY[:-1], KEY + b"\0", KEY[:20], b"", b"FIS2" + KEY[4:],
@@ -394,8 +417,9 @@ class TestTranscriptSerialization:
         assert derive_seed(b"abc") == derive_seed("abc")
 
 
-# Reference: the JSONL writer as it was before each line was built from a
-# per-vector head string, with one ``json.dumps`` per line.
+# Reference: the JSONL writer of the earlier line format, as it was before
+# each line was built from a per-vector head string, with one
+# ``json.dumps`` per line. Every line holds its vector's ``a``.
 
 def reference_to_jsonl(ts, protocol):
     hexes = [[protocol.encode_commitment(a).hex() for a in vec.a_vec]
@@ -411,26 +435,34 @@ def reference_to_jsonl(ts, protocol):
 
 
 # Reference: the JSONL parser as it was when every line became a decoded
-# ``OracleInput`` inside a ``TranscriptEntry``, with the rule for repeated
-# queries added since: a repeat with the same y is dropped, one with
-# another y is malformed. It returns the entries as (prefix, tail, input,
-# y) tuples.
+# ``OracleInput`` inside a ``TranscriptEntry``, with two rules added since.
+# A repeat with the same y is dropped, one with another y is malformed. A
+# line's ``a`` picks the current vector, and a line with any other key is a
+# point of the current vector, so it reads the grouped format and the line
+# format alike; a point before any vector is malformed. It returns the
+# entries as (prefix, tail, input, y) tuples.
 
 def reference_from_jsonl(params, protocol, text):
     entries, vectors, seen = [], {}, {}  # hex strings -> (a_vec, prefix); key -> y
+    vec = None
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
+            if "a" in rec:
+                hexes = tuple(rec["a"])
+                vec = vectors.get(hexes)
+                if vec is None:
+                    a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
+                    vec = vectors[hexes] = (a_vec, _encode_prefix(params, protocol, a_vec))
+                if len(rec) == 1:
+                    continue
+            elif vec is None:
+                raise ValueError("point line before any vector line")
             i, c, y = rec["i"], rec["c"], rec["y"]
             if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
                 raise ValueError("i, c and y must be integers, y in [0, 2^l)")
-            hexes = tuple(rec["a"])
-            vec = vectors.get(hexes)
-            if vec is None:
-                a_vec = tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in hexes)
-                vec = vectors[hexes] = (a_vec, _encode_prefix(params, protocol, a_vec))
             inp = OracleInput(vec[0], i, c, protocol.decode_response(bytes.fromhex(rec["z"])))
             if not 1 <= i <= params.k:
                 raise ValueError("repetition index out of range")
@@ -456,11 +488,15 @@ JSON_VALUES = st.sampled_from([None, True, 1.5, -1, 2 ** 70, "", "zz", "0a", [],
 
 @st.composite
 def jsonl_cases(draw):
-    """(params, protocol, text, mutation): an honest transcript over one or
-    two commitment vectors, then one line cut, byte-flipped or extended, a
-    field given a wrong JSON type or removed, a leading 00 put on a hex
-    field, blank lines added, a line repeated with the same or another y,
-    or left as is."""
+    """(params, protocol, text, mutation, honest): an honest transcript over
+    one or two commitment vectors, written in the grouped format by
+    ``to_jsonl`` or in the line format by ``reference_to_jsonl``, then one
+    line cut, byte-flipped or extended, a field given a wrong JSON type or
+    removed, a leading 00 put on a hex field, blank lines added, a point
+    repeated with the same or another y, a point moved above every vector
+    line, a point given an ``a`` key after ``i``, a point written in
+    another JSON text shape, a point's i, c or y put just out of range, or
+    left as is."""
     protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
     params = FischlinParams(k=draw(st.integers(1, 3)), l=4, N=n, T=n)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -473,11 +509,16 @@ def jsonl_cases(draw):
         oracle.query(OracleInput(rng.choice(vecs), rng.randrange(params.k) + 1, c,
                                  protocol.respond(protocol.commit(inst, rng)[1],
                                                   SigmaWitness(7), c)))
-    lines = oracle.transcript.to_jsonl(protocol).splitlines()
+    honest = oracle.transcript
+    write = draw(st.sampled_from([honest.to_jsonl, partial(reference_to_jsonl, honest)]))
+    lines = write(protocol).splitlines()
     mutation = draw(st.sampled_from(
         ["none", "cut", "flip", "extend", "type", "missing", "zero", "blank",
-         "repeat", "repeat-other"]))
-    j = draw(st.integers(0, len(lines) - 1))
+         "repeat", "repeat-other", "point-first", "a-after-i", "shape", "range"]))
+    points = [j for j, x in enumerate(lines) if '"i": ' in x]
+    j = draw(st.sampled_from(points if mutation in (
+        "repeat", "repeat-other", "point-first", "a-after-i", "shape", "range")
+        else range(len(lines))))
     line = lines[j]
     if mutation == "cut":
         line = line[:draw(st.integers(0, len(line) - 1))]
@@ -488,12 +529,12 @@ def jsonl_cases(draw):
         line += draw(st.text(st.sampled_from('0af"{}[],: 1.'), min_size=1, max_size=6))
     elif mutation in ("type", "missing", "zero"):
         rec = json.loads(line)
-        key = draw(st.sampled_from(["a", "i", "c", "z", "y"]))
+        key = draw(st.sampled_from(list(rec)))
         if mutation == "type":
             rec[key] = draw(JSON_VALUES)
         elif mutation == "missing":
             del rec[key]
-        elif key == "a":
+        elif key == "a" or "z" not in rec:
             rec["a"][0] = "00" + rec["a"][0]
         elif isinstance(protocol, RepeatedSigma) and draw(st.booleans()):
             # inside the first packed element, whose length grows by one
@@ -505,12 +546,44 @@ def jsonl_cases(draw):
         line = json.dumps(rec)
     elif mutation == "blank":
         line = draw(st.sampled_from(["", " ", "\t"])) + "\n" + line
+    elif mutation == "a-after-i":
+        # in the line format a second "a", of which json.loads keeps the last
+        a = [protocol.encode_commitment(x).hex() for x in draw(st.sampled_from(vecs))]
+        line = line.replace(', "c": ', f', "a": {json.dumps(a)}, "c": ', 1)
+    elif mutation == "range":
+        rec = json.loads(line)
+        key, bad = draw(st.sampled_from(
+            [("i", 0), ("i", params.k + 1), ("c", n), ("y", 16), ("y", -1)]))
+        rec[key] = bad
+        line = json.dumps(rec)
+    elif mutation == "shape":
+        rec = json.loads(line)
+        shape = draw(st.sampled_from(["lead-zero", "upper", "reorder", "spaces"]))
+        if shape == "lead-zero":
+            line = line.replace('"c": ', '"c": 0', 1)
+        elif shape == "upper" and rec["z"] != rec["z"].upper():
+            line = line.replace(f'"z": "{rec["z"]}"', f'"z": "{rec["z"].upper()}"')
+        elif shape == "reorder":
+            line = json.dumps(dict(reversed(rec.items())))
+        else:
+            line = line.replace(": ", ":  ")
+        assert _POINT_LINE.fullmatch(line) is None  # so read by json.loads
     lines[j] = line
     if mutation.startswith("repeat"):
         rec = json.loads(line)
         rec["y"] = (rec["y"] + (mutation == "repeat-other")) % 16
-        lines.insert(draw(st.integers(0, len(lines))), json.dumps(rec))
-    return params, protocol, "".join(f"{x}\n" for x in lines), mutation
+        if "a" in rec:  # a line-format line may go anywhere
+            at = draw(st.integers(0, len(lines)))
+        else:  # a grouped point goes back inside its own vector's run of lines
+            heads = [v for v, x in enumerate(lines) if x.startswith('{"a": ')]
+            at = draw(st.integers(max(v for v in heads if v < j) + 1,
+                                  min([v for v in heads if v > j] + [len(lines)])))
+        lines.insert(at, json.dumps(rec))
+    elif mutation == "point-first":
+        rec = json.loads(lines.pop(j))
+        rec.pop("a", None)
+        lines.insert(0, json.dumps(rec))
+    return params, protocol, "".join(f"{x}\n" for x in lines), mutation, honest
 
 
 class TestTranscriptParserFuzz:
@@ -518,11 +591,12 @@ class TestTranscriptParserFuzz:
     @given(jsonl_cases())
     def test_matches_reference(self, case):
         """The parser raises the reference's ValueError message or returns
-        its entries; no other exception escapes, a line repeated with
-        another y is rejected, and an unchanged transcript, or one with a
-        line repeated with its own y, reads back to its honest entries,
-        writing the unchanged one back byte for byte."""
-        params, protocol, text, mutation = case
+        its entries; no other exception escapes, a point repeated with
+        another y, put before every vector or out of range is rejected, and an unchanged
+        transcript in either format reads back to the honest transcript,
+        which it writes back byte for byte in the grouped format; a point
+        repeated with its own y adds no query."""
+        params, protocol, text, mutation, honest = case
         try:
             want = reference_from_jsonl(params, protocol, text)
         except ValueError as exc:
@@ -530,15 +604,18 @@ class TestTranscriptParserFuzz:
                 OracleTranscript.from_jsonl(params, protocol, text)
             assert str(got.value) == str(exc)
             assert mutation not in ("none", "repeat")
+            if mutation == "point-first":
+                assert str(exc) == "transcript line 1: " \
+                    "ValueError('point line before any vector line')"
             return
-        assert mutation != "repeat-other"
+        assert mutation not in ("repeat-other", "point-first", "range")
         ts = OracleTranscript.from_jsonl(params, protocol, text)
         assert [(e.prefix, e.tail, e.inp, e.y) for e in entries(ts)] == want
         assert len(ts) == sum(len(v.answers) for v in ts.vectors)
         if mutation == "none":
-            assert ts.to_jsonl(protocol) == text
+            assert ts.to_jsonl(protocol) == honest.to_jsonl(protocol)
         elif mutation == "repeat":
-            assert len(ts) == len(text.splitlines()) - 1
+            assert len(ts) == len(honest)
 
 
 @st.composite
