@@ -301,12 +301,8 @@ def plan_parameters(k_target: int, c_rate: float, base_space: int) -> dict:
     warnings = []
     try:
         l = max(14, math.ceil(math.log2(math.log2(k_target)) + math.log2(c_rate) + 8))
-        n = round(c_rate * 2.0 ** l * math.log2(k_target))
-    except OverflowError:
-        raise ValueError(f"c = {c_rate} is too large: 2^l or N overflows a float") from None
-    try:
-        FischlinParams(k=k_target, l=l, N=n, T=n)
-    except ValueError as exc:
+        n = FischlinParams.explicit(k_target, l, c_rate).N
+    except (OverflowError, ValueError) as exc:
         raise ValueError(f"c = {c_rate} gives a recipe prove cannot use: {exc}") from None
     r = 1
     cap = base_space

@@ -353,8 +353,6 @@ def cmd_lab(args) -> int:
         measured = {k: v for k, v in vars(rep).items() if k not in ("l", "domain_size")}
         result = {"measured": measured, "bound": 1e-12, "pass": rep.ok}
         params = {"l": args.l, "domain": args.domain}
-    else:
-        raise ValueError(f"unknown lab check {check!r}")
     _emit(args, {"check": check, "params": params, **result})
     return 0 if result["pass"] else 1
 

@@ -67,7 +67,7 @@ __all__ = [
 _TAG = b"FIS1"
 
 
-class ReprogramConflict(Exception):
+class ReprogramConflict(ValueError):
     """Attempt to program a point that is already fixed."""
 
 
@@ -299,31 +299,9 @@ def _read_point(params, protocol, rec) -> tuple:
     return _encode_tail(params, i, c, response), y
 
 
-def _split_key(params, key: bytes, last: bytes) -> tuple:
-    """(prefix, tail) of a full query encoding, split after its k-th
-    commitment field; ValueError when the key has another tag, k or l, or
-    no well-formed tail. ``last`` is the prefix of an earlier key: a key
-    that starts with it shares it, unread, since a prefix delimits itself."""
-    if last and key.startswith(last):
-        prefix = last
-    else:
-        if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
-            raise ValueError("key does not start with the tag, k and l")
-        reader = FieldReader(key, "table key", 12)
-        for _ in range(params.k):
-            reader.field()
-        prefix = key[:reader.off]
-    reader = FieldReader(key, "table key", len(prefix))
-    reader.u32s(2)
-    reader.field()
-    reader.end()
-    return prefix, key[len(prefix):]
-
-
-def _commitment_hexes(prefix: bytes) -> list:
-    """The hex strings of the commitment fields of a prefix encoding."""
-    reader = FieldReader(prefix, "prefix", 12)
-    return [reader.field().hex() for _ in range(struct.unpack_from(">I", prefix, 4)[0])]
+# One programmed point as ``json.dump(..., indent=2)`` writes it in a table.
+_POINT_TEXT = ('\n        {\n          "i": %d,\n          "c": %d,\n'
+               '          "z": "%s",\n          "y": %d\n        }')
 
 
 @dataclass
@@ -336,64 +314,78 @@ class ReprogramTable:
     def __len__(self):
         return len(self.overrides)
 
-    def _layout(self, points) -> dict:
-        """``to_json``'s object, with each vector's point list made by
-        ``points`` from that vector's keys in programmed order."""
+    def program(self, key: tuple, y: int):
+        """Fix the point ``key`` to ``y``; ReprogramConflict if it is
+        already fixed to another value."""
+        old = self.overrides.setdefault(key, y)
+        if old != y:
+            raise ReprogramConflict(f"point programmed to both {old} and {y}")
+
+    def _vectors(self):
+        """(commitment hexes, keys) of each commitment vector, in
+        first-programmed order, its keys in programmed order."""
         groups: dict[bytes, list] = {}
         for key in self.overrides:
             groups.setdefault(key[0], []).append(key)
-        return {"vectors": [{"a": _commitment_hexes(prefix), "points": points(keys)}
-                            for prefix, keys in groups.items()]}
+        for prefix, keys in groups.items():
+            reader = FieldReader(prefix, "prefix", 12)
+            yield [reader.field().hex() for _ in range(struct.unpack_from(">I", prefix, 4)[0])], keys
 
-    def _point(self, key: tuple) -> dict:
-        i, c = struct.unpack_from(">II", key[1])
-        return {"i": i, "c": c, "z": key[1][10:].hex(), "y": self.overrides[key]}
+    def _point(self, key: tuple) -> tuple:
+        """(i, c, z hex, y) of a programmed point."""
+        return (*struct.unpack_from(">II", key[1]), key[1][10:].hex(), self.overrides[key])
 
     def to_json(self) -> dict:
         """``{"vectors": [{"a": [hex, ...], "points": [{"i", "c", "z", "y"},
         ...]}, ...]}``: each commitment vector once, in first-programmed
         order, with the transcript JSONL's field names."""
-        return self._layout(lambda keys: [self._point(key) for key in keys])
+        return {"vectors": [
+            {"a": hexes, "points": [dict(zip("iczy", self._point(key))) for key in keys]}
+            for hexes, keys in self._vectors()]}
 
     def write_json(self, fh):
         """Write the text of ``json.dump(self.to_json(), fh, indent=2)``,
-        making at most 64 points' dicts at a time: the layout is dumped with
-        a ``null`` standing for each vector's points, and the points are
-        dumped in its place, re-indented. No hex string holds ``null``."""
-        groups = []
-        pieces = json.dumps(self._layout(lambda keys: groups.append(keys) or [None]),
-                            indent=2).split("null")
-        fh.write(pieces[0])
-        for keys, before, after in zip(groups, pieces, pieces[1:]):
-            pad = "\n" + " " * (len(before) - before.rfind("\n") - 1)
-            for n in range(0, len(keys), 64):
-                text = json.dumps([self._point(key) for key in keys[n:n + 64]], indent=2)
-                fh.write(("," + pad if n else "") + text[4:-2].replace("\n  ", pad))
-            fh.write(after)
+        one point at a time."""
+        fh.write('{\n  "vectors": [')
+        for n, (hexes, keys) in enumerate(self._vectors()):
+            fh.write(("," if n else "") + '\n    {\n      "a": [\n        "'
+                     + '",\n        "'.join(hexes) + '"\n      ],\n      "points": [')
+            for m, key in enumerate(keys):
+                fh.write(("," if m else "") + _POINT_TEXT % self._point(key))
+            fh.write("\n      ]\n    }")
+        fh.write("\n  ]\n}" if self.overrides else "]\n}")
 
     @classmethod
     def from_json(cls, params, protocol, obj) -> "ReprogramTable":
         """Inverse of ``to_json``. A JSON list is read as the earlier format,
         ``{"key": hex, "y": int}`` records whose key is a full query
-        encoding, split after its k-th commitment field. Raises ValueError
-        naming a malformed record, or one that programs a point already
-        programmed to another value."""
+        encoding. Either format programs each point's canonical encoding:
+        canonical commitments in the prefix, an in-range ``i`` and ``c`` and
+        the canonical response in the tail. Raises ValueError naming a
+        malformed record, or one that programs a point already programmed
+        to another value."""
         table = cls()
-
-        def program(key: tuple, y: int):
-            old = table.overrides.setdefault(key, y)
-            if old != y:
-                raise ValueError(f"point programmed to both {old} and {y}")
-
         if isinstance(obj, list):
-            prefix = b""
+            raw = None  # the previous key's raw prefix, which a key starting with it shares
             for n, rec in enumerate(obj):
                 try:
                     key, y = bytes.fromhex(rec["key"]), rec["y"]
                     if type(y) is not int or not 0 <= y < 1 << params.l:
                         raise ValueError("y must be an integer in [0, 2^l)")
-                    prefix, tail = _split_key(params, key, prefix)
-                    program((prefix, tail), y)
+                    if raw is None or not key.startswith(raw):
+                        if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
+                            raise ValueError("key does not start with the tag, k and l")
+                        reader = FieldReader(key, "table key", 12)
+                        fields = [reader.field() for _ in range(params.k)]
+                        raw = key[:reader.off]
+                        prefix = _encode_prefix(params, protocol, fields,
+                                                protocol.canonical_commitment)
+                    reader = FieldReader(key, "table key", len(raw))
+                    i, c = reader.u32s(2)
+                    response = reader.field()
+                    reader.end()
+                    table.program((prefix, _encode_tail(
+                        params, i, c, protocol.canonical_response(response))), y)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table record {n}: {exc!r}") from None
             return table
@@ -413,7 +405,7 @@ class ReprogramTable:
             for n, point in enumerate(points):
                 try:
                     tail, y = _read_point(params, protocol, point)
-                    program((prefix, tail), y)
+                    table.program((prefix, tail), y)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table vector {v} point {n}: {exc!r}") from None
         return table
@@ -503,10 +495,9 @@ class RecordingOracle(HashingOracle):
     one experiment per handle.
     """
 
-    def __init__(self, params, protocol, seed: bytes, transcript: OracleTranscript | None = None,
-                 table: ReprogramTable | None = None):
+    def __init__(self, params, protocol, seed: bytes, table: ReprogramTable | None = None):
         super().__init__(params, protocol, seed, table)
-        self.transcript = transcript if transcript is not None else OracleTranscript()
+        self.transcript = OracleTranscript()
         self.programmer = None
 
     def _split(self, inp: OracleInput) -> tuple:
@@ -526,7 +517,7 @@ class RecordingOracle(HashingOracle):
             if self.programmer is not None and (vec.prefix, tail) not in self.table.overrides:
                 y = self.programmer(inp)
                 if y is not None:
-                    self.table.overrides[vec.prefix, tail] = y
+                    self.table.program((vec.prefix, tail), y)
             y = self._answer(mid, vec.prefix, tail)
             self.transcript.record(vec, tail, y)
         return y
@@ -553,14 +544,11 @@ class RecordingOracle(HashingOracle):
         return None
 
     def reprogram(self, inp: OracleInput, value: int):
-        """Install an override; fails if the point is already fixed."""
+        """Install an override; ReprogramConflict if the point was already
+        queried or is programmed to another value."""
         if not 0 <= value < 1 << self.params.l:
             raise ValueError("programmed value out of range")
         _, vec, tail = self._split(inp)
         if tail in vec.answers:
             raise ReprogramConflict("point already queried")
-        key = (vec.prefix, tail)
-        old = self.table.overrides.get(key)
-        if old is not None and old != value:
-            raise ReprogramConflict("point already programmed differently")
-        self.table.overrides[key] = value
+        self.table.program((vec.prefix, tail), value)

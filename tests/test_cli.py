@@ -19,6 +19,8 @@ KEY = "46495331" "00000002" "00000002" "000101" "000102" "00000001" "00000000" "
 LIST_REPEAT = json.dumps([{"key": KEY, "y": 0}, {"key": KEY, "y": 1}])
 GROUPED_REPEAT = json.dumps({"vectors": [{"a": ["01", "02"], "points": [
     {"i": 1, "c": 0, "z": "", "y": 0}, {"i": 1, "c": 0, "z": "", "y": 1}]}]})
+# KEY with the repetition index 3, out of range at k = 2.
+KEY_I3 = KEY[:-20] + "00000003" "00000000" "0000"
 
 # A k=2, l=2, N=600 proof (the two-copy protocol on the toy group) whose
 # first commitment packs three elements.
@@ -76,6 +78,23 @@ class TestKeygen:
             "--out-instance", str(inst2), "--out-witness", str(wit2),
             "--seed", "11")
         assert inst1.read_bytes() == inst2.read_bytes()
+
+    def test_group_from_config(self, tmp_path, capsys, keypair):
+        # a config's group entry gives the same statement as --p/--q/--g
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"group": {"p": "1019", "q": "509", "g": "4"}}))
+        inst = tmp_path / "cfg-instance.json"
+        code, out, _ = run(capsys, "keygen", "--config", str(cfg), "--out-instance", str(inst),
+                           "--out-witness", str(tmp_path / "cfg-witness.json"), "--seed", "7")
+        assert code == 0
+        assert json.loads(out)["x"] == json.loads(keypair[0].read_text())["x"]
+        assert inst.read_bytes() == keypair[0].read_bytes()
+
+    def test_no_group_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "keygen", "--out-instance", str(tmp_path / "i.json"),
+                             "--out-witness", str(tmp_path / "w.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: no group")
 
     def test_bad_group_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "keygen", "--p", "1019", "--q", "510",
@@ -226,6 +245,7 @@ class TestProveVerifyPipeline:
         ("--table", LIST_REPEAT),
         ("--table", GROUPED_REPEAT),
         ("--table", '[{"key": "4649533100", "y": 0}]'),
+        ("--table", json.dumps([{"key": KEY_I3, "y": 0}])),
         ("--table", '{"vectors": [{"a": ["01"], "points": []}]}'),
         ("--table", '{"vectors": {}}'),
         ("--table", '{"vectors": [{"a": ["01", "02"], "points": 5}]}'),
@@ -244,6 +264,7 @@ class TestProveVerifyPipeline:
             "transcript-i-str", "transcript-c-float", "transcript-y-range",
             "table-null", "table-int-record", "table-y-range", "table-y-str",
             "table-list-repeat", "table-grouped-repeat", "table-key-unsplittable",
+            "table-list-i-range",
             "table-a-length", "table-vectors-object", "table-points-int",
             "instance-null", "instance-x-null", "instance-p-list",
             "witness-w-null", "witness-list", "config-list", "config-params-list",
@@ -328,6 +349,44 @@ class TestProveVerifyPipeline:
         with pytest.raises(SystemExit) as exc:
             main(["prove"])  # missing required flags
         assert exc.value.code == 2
+
+    def test_lambda_params(self, tmp_path, capsys):
+        # --lambda 16 --l 2 is FischlinParams.from_security(16, 2): k = 8,
+        # N = 9; prove seed 0 proves for the keygen seed 1 statement
+        inst, wit = tmp_path / "instance.json", tmp_path / "witness.json"
+        run(capsys, "keygen", "--p", "1019", "--q", "509", "--g", "4", "--seed", "1",
+            "--out-instance", str(inst), "--out-witness", str(wit))
+        code, out, _ = run(capsys, "prove", "--instance", str(inst), "--witness", str(wit),
+                           "--lambda", "16", "--l", "2", "--seed", "0",
+                           "--out", str(tmp_path / "proof.bin"))
+        assert code == 0
+        want = FischlinParams.from_security(16, 2)
+        assert (json.loads(out)["k"], json.loads(out)["N"]) == (want.k, want.N) == (8, 9)
+
+    def test_lambda_needs_l(self, tmp_path, capsys, keypair):
+        inst, wit = keypair
+        code, out, err = run(capsys, "prove", "--instance", str(inst), "--witness", str(wit),
+                             "--lambda", "16", "--out", str(tmp_path / "proof.bin"))
+        assert code == 2 and out == ""
+        assert err == "error: --lambda needs --l\n"
+
+    # One attempt per repetition at l = 8 (the prover), or two challenges
+    # at l = 8 (the simulator), aborts on each of these seeds.
+    @pytest.mark.parametrize("command,argv,what", [
+        ("prove", ["--k", "4", "--l", "8", "--n", "16", "--t", "1"], "prover"),
+        ("simulate", ["--k", "1", "--l", "8", "--n", "2"], "simulator"),
+    ])
+    def test_abort_exits_1(self, tmp_path, capsys, keypair, command, argv, what):
+        inst, wit = keypair
+        proof = tmp_path / "proof.bin"
+        files = ["--witness", str(wit)] if command == "prove" else \
+            ["--table-out", str(tmp_path / "table.json")]
+        for seed in range(5):
+            code, out, err = run(capsys, command, "--instance", str(inst), *files, *argv,
+                                 "--seed", str(seed), "--out", str(proof))
+            assert code == 1 and out == ""
+            assert err.startswith(f"{what} aborted: ")
+            assert not proof.exists()
 
 
 def line_format(text: str) -> str:
@@ -423,8 +482,32 @@ class TestSimulate:
                            "--proof", str(proof), "--seed", "4")
         assert code == 1
 
+    def test_padded_responses_replay_in_either_format(self, tmp_path, capsys, keypair):
+        # both table formats program each point's canonical encoding, so a
+        # response written with a leading 00 byte replays like the plain one
+        inst, _ = keypair
+        proof, table = tmp_path / "sim.bin", tmp_path / "table.json"
+        code, _, _ = run(capsys, "simulate", "--instance", str(inst),
+                         "--k", "2", "--l", "2", "--n", "16",
+                         "--out", str(proof), "--table-out", str(table), "--seed", "4")
+        assert code == 0
+        field = lambda h: f"{len(h) // 2:04x}{h}"  # a pack_field encoding, in hex
+        grouped, listed = json.loads(table.read_text()), []
+        for vec in grouped["vectors"]:
+            prefix = "46495331" "00000002" "00000002" + "".join(map(field, vec["a"]))
+            for point in vec["points"]:
+                point["z"] = "00" + point["z"]
+                listed.append({"key": f"{prefix}{point['i']:08x}{point['c']:08x}"
+                                      + field(point["z"]), "y": point["y"]})
+        for obj in (grouped, listed):
+            padded = tmp_path / "padded.json"
+            padded.write_text(json.dumps(obj))
+            code, out, _ = run(capsys, "verify", "--instance", str(inst), "--proof", str(proof),
+                               "--table", str(padded), "--seed", "4")
+            assert code == 0 and json.loads(out)["valid"]
+
     def test_table_written_in_small_memory(self, tmp_path, capsys, keypair, monkeypatch):
-        # writing a k=1024, l=8, c=2 table makes one point's dict at a time:
+        # a k=1024, l=8, c=2 table is written one point at a time:
         # the traced peak from opening the table file to closing it stays
         # under 250 KB (a whole to_json object is about 380 KB of dicts)
         inst, _ = keypair

@@ -636,8 +636,11 @@ def table_cases(draw):
     for _ in range(draw(st.integers(1, 6))):
         c = rng.randrange(n)
         z = protocol.respond(protocol.commit(inst, rng)[1], SigmaWitness(7), c)
-        oracle.reprogram(OracleInput(rng.choice(vecs), rng.randrange(params.k) + 1, c, z),
-                         rng.randrange(16))
+        try:
+            oracle.reprogram(OracleInput(rng.choice(vecs), rng.randrange(params.k) + 1, c, z),
+                             rng.randrange(16))
+        except ReprogramConflict:  # one point drawn twice, to another value
+            pass
     table = oracle.table
     listed = draw(st.booleans())
     if listed:
