@@ -357,19 +357,30 @@ def cmd_lab(args) -> int:
     return 0 if result["pass"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command line ``argv``. Every sub-command is
+    registered with its help, but only one named in ``argv`` gets its
+    flags, ``-h`` included: argparse hands the arguments after a
+    sub-command's exact name to that sub-parser alone, so the flags of the
+    others are never read."""
     top = argparse.ArgumentParser(
         prog="fischlin",
         description="Proof-of-work NIZK compiler: prove, verify, extract, "
                     "simulate, and evaluate security bounds.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, text, func):
+        """The sub-parser ``name`` with the common flags, or None if ``argv`` does not name it."""
+        p = sub.add_parser(name, help=text, add_help=name in argv)
+        if name not in argv:
+            return None
         p.add_argument("--config", help="JSON session config")
         p.add_argument("--seed", type=lambda s: int(s, 0),
                        help="run seed (overrides FISCHLIN_SEED and config)")
         p.add_argument("--json", action="store_true",
                        help="compact single-line JSON output")
+        p.set_defaults(func=func)
+        return p
 
     def param_flags(p):
         p.add_argument("--k", type=int, help="repetitions")
@@ -380,91 +391,75 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=int,
                        help="security parameter for the legacy derivation")
 
-    p = sub.add_parser("keygen", help="sample a statement/witness pair")
-    common(p)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--out-instance", required=True)
-    p.add_argument("--out-witness", required=True)
-    p.set_defaults(func=cmd_keygen)
+    if p := command("keygen", "sample a statement/witness pair", cmd_keygen):
+        p.add_argument("--p", type=int)
+        p.add_argument("--q", type=int)
+        p.add_argument("--g", type=int)
+        p.add_argument("--out-instance", required=True)
+        p.add_argument("--out-witness", required=True)
 
-    p = sub.add_parser("prove", help="produce a proof")
-    common(p)
-    param_flags(p)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--witness", required=True)
-    p.add_argument("--out", required=True, help="binary proof file")
-    p.add_argument("--record", help="write the oracle transcript (JSONL)")
-    p.set_defaults(func=cmd_prove)
+    if p := command("prove", "produce a proof", cmd_prove):
+        param_flags(p)
+        p.add_argument("--instance", required=True)
+        p.add_argument("--witness", required=True)
+        p.add_argument("--out", required=True, help="binary proof file")
+        p.add_argument("--record", help="write the oracle transcript (JSONL)")
 
-    p = sub.add_parser("verify", help="verify a proof")
-    common(p)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--proof", required=True)
-    p.add_argument("--record", help="write the oracle transcript (JSONL)")
-    p.add_argument("--table", help="reprogram table JSON to replay")
-    p.set_defaults(func=cmd_verify)
+    if p := command("verify", "verify a proof", cmd_verify):
+        p.add_argument("--instance", required=True)
+        p.add_argument("--proof", required=True)
+        p.add_argument("--record", help="write the oracle transcript (JSONL)")
+        p.add_argument("--table", help="reprogram table JSON to replay")
 
-    p = sub.add_parser("extract", help="extract a witness from a transcript")
-    common(p)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--proof", required=True)
-    p.add_argument("--transcript", required=True)
-    p.set_defaults(func=cmd_extract)
+    if p := command("extract", "extract a witness from a transcript", cmd_extract):
+        p.add_argument("--instance", required=True)
+        p.add_argument("--proof", required=True)
+        p.add_argument("--transcript", required=True)
 
-    p = sub.add_parser("simulate", help="simulate a proof without the witness")
-    common(p)
-    param_flags(p)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--out", required=True, help="binary proof file")
-    p.add_argument("--table-out", required=True, help="reprogram table JSON")
-    p.set_defaults(func=cmd_simulate)
+    if p := command("simulate", "simulate a proof without the witness", cmd_simulate):
+        param_flags(p)
+        p.add_argument("--instance", required=True)
+        p.add_argument("--out", required=True, help="binary proof file")
+        p.add_argument("--table-out", required=True, help="reprogram table JSON")
 
-    p = sub.add_parser("bounds", help="evaluate the security-bound chain")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--q", type=int, default=0, help="adversary query budget")
-    p.add_argument("--grid", help='sweep spec, e.g. "k=2^20..2^34;l=14,16,18;c=1,2,4"')
-    p.add_argument("--all-points", action="store_true",
-                   help="include grid points outside the validity region")
-    p.add_argument("--out", help="CSV output path for grid sweeps")
-    p.set_defaults(func=cmd_bounds)
+    if p := command("bounds", "evaluate the security-bound chain", cmd_bounds):
+        p.add_argument("--k", type=int)
+        p.add_argument("--l", type=int)
+        p.add_argument("--c", type=float)
+        p.add_argument("--q", type=int, default=0, help="adversary query budget")
+        p.add_argument("--grid", help='sweep spec, e.g. "k=2^20..2^34;l=14,16,18;c=1,2,4"')
+        p.add_argument("--all-points", action="store_true",
+                       help="include grid points outside the validity region")
+        p.add_argument("--out", help="CSV output path for grid sweeps")
 
-    p = sub.add_parser("plan", help="pick (l, N, r) for a target k")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--base-n", type=int, required=True,
-                   help="challenge-space size of the base protocol")
-    p.set_defaults(func=cmd_plan)
+    if p := command("plan", "pick (l, N, r) for a target k", cmd_plan):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--base-n", type=int, required=True,
+                       help="challenge-space size of the base protocol")
 
-    p = sub.add_parser("lab", help="run a numerical lab check")
-    common(p)
-    p.add_argument("check", choices=["comp-involution", "comp-zero-tail",
-                                     "measure", "martingale", "chernoff",
-                                     "query-smoke"])
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--num", type=int, default=4096, help="Bernoulli count")
-    p.add_argument("--p", type=float, default=0.0625)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--domain", type=int, default=2)
-    p.set_defaults(func=cmd_lab)
+    if p := command("lab", "run a numerical lab check", cmd_lab):
+        p.add_argument("check", choices=["comp-involution", "comp-zero-tail",
+                                         "measure", "martingale", "chernoff",
+                                         "query-smoke"])
+        p.add_argument("--l", type=int, default=1)
+        p.add_argument("--k", type=int, default=16)
+        p.add_argument("--gamma", type=float, default=0.5)
+        p.add_argument("--m", type=int, default=3)
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--epsilon", type=float, default=2.0)
+        p.add_argument("--num", type=int, default=4096, help="Bernoulli count")
+        p.add_argument("--p", type=float, default=0.0625)
+        p.add_argument("--delta", type=float, default=0.5)
+        p.add_argument("--domain", type=int, default=2)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:

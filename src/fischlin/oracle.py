@@ -48,7 +48,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .sigma import FieldReader, pack_field
+from .sigma import FieldReader, _unpack, pack_field
 
 __all__ = [
     "OracleInput",
@@ -367,6 +367,7 @@ class ReprogramTable:
         table = cls()
         if isinstance(obj, list):
             raw = None  # the previous key's raw prefix, which a key starting with it shares
+            prefixes: dict[bytes, bytes] = {}  # raw prefix -> canonical prefix
             for n, rec in enumerate(obj):
                 try:
                     key, y = bytes.fromhex(rec["key"]), rec["y"]
@@ -375,17 +376,23 @@ class ReprogramTable:
                     if raw is None or not key.startswith(raw):
                         if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
                             raise ValueError("key does not start with the tag, k and l")
-                        reader = FieldReader(key, "table key", 12)
-                        fields = [reader.field() for _ in range(params.k)]
-                        raw = key[:reader.off]
-                        prefix = _encode_prefix(params, protocol, fields,
-                                                protocol.canonical_commitment)
+                        end = 12  # past the k fields, read by their lengths alone
+                        for _ in range(params.k):
+                            end += 2 + (key[end] << 8 | key[end + 1])
+                        raw = key[:end]
+                        prefix = prefixes.get(raw)
+                        if prefix is None:  # _unpack rejects a prefix cut short
+                            prefix = prefixes[raw] = _encode_prefix(
+                                params, protocol, _unpack(raw[12:], params.k),
+                                protocol.canonical_commitment)
                     reader = FieldReader(key, "table key", len(raw))
                     i, c = reader.u32s(2)
                     response = reader.field()
                     reader.end()
                     table.program((prefix, _encode_tail(
                         params, i, c, protocol.canonical_response(response))), y)
+                except IndexError:  # a cut field length
+                    raise ValueError(f"table record {n}: truncated table key") from None
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table record {n}: {exc!r}") from None
             return table

@@ -379,18 +379,15 @@ class RepeatedSigma:
         pairs = [self.base.simulate(instance, d, rng) for d in ds]
         return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
-    def encode_commitment(self, a) -> bytes:
-        return _pack(self.base.encode_commitment(ai) for ai in a)
-
-    def decode_commitment(self, data: bytes):
-        return tuple(self.base.decode_commitment(p) for p in _unpack(data, self.copies))
-
+    # The base is Schnorr, whose commitments and responses share the
+    # encode_int codec, so one packing serves both.
     def encode_response(self, z) -> bytes:
-        # the base is Schnorr, whose response codec is encode_int
         return b"".join([pack_field(encode_int(zi)) for zi in z])
+    encode_commitment = encode_response
 
     def decode_response(self, data: bytes):
-        return tuple(self.base.decode_response(p) for p in _unpack(data, self.copies))
+        return tuple([int.from_bytes(p, "big") for p in _unpack(data, self.copies)])
+    decode_commitment = decode_response
 
     def canonical_response(self, data: bytes) -> bytes:
         """``encode_response(decode_response(data))``, without decoding: the

@@ -162,18 +162,30 @@ def peek_params(data: bytes) -> tuple[int, int, int]:
 
 
 def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
+    """Inverse of ``serialize_proof``, in one pass that reads each length
+    from two indexed bytes; ValueError on a cut blob, trailing bytes or a
+    challenge ``>= N``."""
     if peek_params(data) != (params.k, params.l, params.N):
         raise ValueError("parameter mismatch")
-    reader = FieldReader(data, "proof", 16)
+    decode_a, decode_z, n = protocol.decode_commitment, protocol.decode_response, params.N
     a_vec, c_vec, z_vec = [], [], []
-    for _ in range(params.k):
-        a_vec.append(protocol.decode_commitment(reader.field()))
-        c, = reader.u32s(1)
-        if c >= params.N:
-            raise ValueError("challenge out of range")
-        c_vec.append(c)
-        z_vec.append(protocol.decode_response(reader.field()))
-    reader.end()
+    end = 16
+    try:
+        for _ in range(params.k):
+            start = end + 2
+            end = start + (data[end] << 8 | data[end + 1])
+            a_vec.append(decode_a(data[start:end]))
+            c = int.from_bytes(data[end:end + 4], "big")
+            if c >= n:
+                raise ValueError("challenge out of range")
+            c_vec.append(c)
+            start = end + 6
+            end = start + (data[end + 4] << 8 | data[end + 5])
+            z_vec.append(decode_z(data[start:end]))
+    except IndexError:  # a cut length; a cut field leaves end past the blob
+        raise ValueError("truncated proof") from None
+    if end != len(data):
+        raise ValueError("truncated proof" if end > len(data) else "trailing bytes")
     return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec))
 
 

@@ -359,9 +359,10 @@ class TestTranscriptSerialization:
         assert ts.to_jsonl(protocol).splitlines() == want
 
     @pytest.mark.parametrize("key", [
-        KEY[:-1], KEY + b"\0", KEY[:20], b"", b"FIS2" + KEY[4:],
+        KEY[:-1], KEY + b"\0", KEY[:20], KEY[:13], KEY[:17], b"", b"FIS2" + KEY[4:],
         KEY[:8] + struct.pack(">I", 5) + KEY[12:]],
-        ids=["cut-tail", "extended", "cut-prefix", "empty", "tag", "l"])
+        ids=["cut-tail", "extended", "cut-prefix", "cut-length", "cut-field", "empty", "tag",
+             "l"])
     def test_table_list_key_must_split(self, key):
         records = [{"key": key.hex(), "y": 0}]
         with pytest.raises(ValueError, match="table record 0"):
@@ -409,6 +410,24 @@ class TestTranscriptSerialization:
             with pytest.raises(ValueError, match="table vector 0"):
                 ReprogramTable.from_json(FischlinParams(k=2, l=4, N=600, T=600), two,
                                          {"vectors": [{"a": bad, "points": []}]})
+
+    def test_table_list_canonicalizes_each_vector_once(self, toy_group):
+        # records that move between vectors reuse each raw prefix's
+        # canonical prefix: k canonical_commitment calls per distinct vector
+        params = FischlinParams(k=3, l=4, N=16, T=16)
+        protocol = Schnorr(toy_group, 16)
+        rng = random.Random(48)
+        inputs = [rand_input(rng, k=3) for _ in range(3)]
+        inputs = [OracleInput(inputs[n % 3].a_vec, n % 3 + 1, n, n) for n in range(16)]
+        records = [{"key": encode_input(params, protocol, inp).hex(), "y": n % 16}
+                   for n, inp in enumerate(inputs)]
+        calls = []
+        canonical = protocol.canonical_commitment
+        protocol.canonical_commitment = lambda data: calls.append(data) or canonical(data)
+        table = ReprogramTable.from_json(params, protocol, records)
+        assert len(calls) == 3 * params.k
+        assert table.overrides == {table_key(params, protocol, inp): n % 16
+                                   for n, inp in enumerate(inputs)}
 
     def test_derive_seed_forms(self):
         assert len(derive_seed(7)) == 32
@@ -740,9 +759,10 @@ class TestTableWriter:
         ReprogramTable().write_json(fh)
         assert fh.getvalue() == json.dumps({"vectors": []}, indent=2)
 
-    def test_points_past_one_batch(self, proto):
-        # points are dumped 64 at a time: two interleaved vectors with 64
-        # and 150 points meet and cross that batch size
+    def test_interleaved_vectors_grouped_in_order(self, proto):
+        # points programmed to two vectors in turn come out grouped by
+        # vector, the first programmed first (64 points, then 150), and the
+        # writer's text is that of json.dumps with indent 2
         oracle = RecordingOracle(PARAMS, proto, derive_seed(46))
         for n in range(214):
             a_vec = (80, 64) if n % 3 == 0 and n < 192 else (64, 80)

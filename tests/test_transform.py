@@ -26,6 +26,7 @@ from fischlin.transform import (
     serialize_proof,
     verify,
 )
+import proof_reference
 from transcript_entries import entries
 
 
@@ -393,6 +394,73 @@ class TestParserFuzz:
         assert mutation not in ("cut", "extend")
         if mutation == "none":
             assert got == value
+
+
+
+@st.composite
+def proof_cases(draw):
+    """(params, protocol, proof): a proof of random elements for Schnorr or
+    the two-copy RepeatedSigma, valid as a blob though not as a proof."""
+    protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
+    k = draw(st.integers(1, 4))
+    element, scalar = st.integers(0, 1018), st.integers(0, 508)
+    if isinstance(protocol, RepeatedSigma):
+        element, scalar = st.tuples(element, element), st.tuples(scalar, scalar)
+    vector = functools.partial(st.lists, min_size=k, max_size=k)
+    return FischlinParams(k=k, l=4, N=n, T=n), protocol, Proof(
+        tuple(draw(vector(element))), tuple(draw(vector(st.integers(0, n - 1)))),
+        tuple(draw(vector(scalar))))
+
+
+def read_outcome(parse, params, protocol, blob):
+    """What ``parse`` returns on ``blob``, or ValueError if it raises that."""
+    try:
+        return parse(params, protocol, blob)
+    except ValueError:
+        return ValueError
+
+
+READERS = [deserialize_proof, proof_reference.deserialize_proof]
+
+
+class TestOnePassReader:
+    """``deserialize_proof`` against the ``FieldReader`` reader it replaced
+    (``tests/proof_reference.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(proof_cases(), st.binary(min_size=1, max_size=4))
+    def test_valid_cut_and_extended(self, case, extra):
+        params, protocol, proof = case
+        blob = serialize_proof(params, protocol, proof)
+        for parse in READERS:
+            assert parse(params, protocol, blob) == proof
+            for cut in range(len(blob)):
+                assert read_outcome(parse, params, protocol, blob[:cut]) is ValueError
+            assert read_outcome(parse, params, protocol, blob + extra) is ValueError
+
+    @settings(max_examples=100, deadline=None)
+    @given(proof_cases(), st.data())
+    def test_challenge_out_of_range(self, case, data):
+        params, protocol, proof = case
+        j = data.draw(st.integers(0, params.k - 1))
+        c_vec = list(proof.c_vec)
+        c_vec[j] = data.draw(st.integers(params.N, (1 << 32) - 1))
+        blob = serialize_proof(params, protocol, Proof(proof.a_vec, tuple(c_vec), proof.z_vec))
+        for parse in READERS:
+            assert read_outcome(parse, params, protocol, blob) is ValueError
+
+    @settings(max_examples=300, deadline=None)
+    @given(proof_cases(), st.data())
+    def test_same_outcome_on_changed_bytes(self, case, data):
+        """A blob with bytes after the header flipped or replaced reads to
+        the same proof with either reader, or is rejected by both."""
+        params, protocol, proof = case
+        blob = bytearray(serialize_proof(params, protocol, proof))
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(16, len(blob) - 1))
+            blob[pos] ^= data.draw(st.integers(1, 255))
+        outcomes = [read_outcome(parse, params, protocol, bytes(blob)) for parse in READERS]
+        assert outcomes[0] == outcomes[1]
 
 
 # Reference: the prover as it was before it ground through
