@@ -20,7 +20,7 @@ from .sigma import CommitState, GroupParams, RepeatedSigma, Schnorr, \
 from .simulator import HybridSample, SimOutput, hybrid_experiment, \
     reprogramming_advantage, sample_zero_challenge, simulate
 from .transform import Abort, CompletenessError, FischlinParams, Proof, \
-    completeness_error, deserialize_proof, proof_from_json, proof_to_json, \
+    completeness_error, deserialize_proof, proof_to_json, \
     prove, serialize_proof, verify
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "hybrid_experiment",
     "keygen",
     "lab",
-    "proof_from_json",
     "proof_to_json",
     "protocol_for_challenge_space",
     "prove",

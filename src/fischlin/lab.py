@@ -53,8 +53,17 @@ __all__ = [
 AMPLITUDE_CAP = 1 << 24
 
 
+def _over_cap(base: int, exp: int) -> bool:
+    """base ** exp > AMPLITUDE_CAP, for base >= 1 and exp >= 0, decided
+    without building a power far past the cap."""
+    return base > 1 and (exp >= AMPLITUDE_CAP.bit_length() or base ** exp > AMPLITUDE_CAP)
+
+
 def plus_state(l: int, with_bot: bool = False) -> np.ndarray:
-    """Uniform superposition over the 2^l outputs; optional marker slot."""
+    """Uniform superposition over the 2^l outputs; optional marker slot.
+    ValueError past ``AMPLITUDE_CAP`` amplitudes, before allocating."""
+    if _over_cap(2, l) or (1 << l) + with_bot > AMPLITUDE_CAP:
+        raise ValueError("state exceeds the amplitude cap")
     d = 1 << l
     v = np.zeros(d + 1 if with_bot else d, dtype=complex)
     v[:d] = d ** -0.5
@@ -63,7 +72,13 @@ def plus_state(l: int, with_bot: bool = False) -> np.ndarray:
 
 def comp_matrix(l: int) -> np.ndarray:
     """(2^l + 1)-dimensional basis change swapping the uniform
-    superposition and the marker: a unitary involution."""
+    superposition and the marker: a unitary involution. ValueError for
+    l < 1 or a matrix past ``AMPLITUDE_CAP`` entries, before allocating."""
+    if l < 1:
+        raise ValueError("need l >= 1")
+    # the first test keeps 1 << l small for the second
+    if _over_cap(2, l) or _over_cap((1 << l) + 1, 2):
+        raise ValueError("matrix exceeds the amplitude cap")
     d = 1 << l
     plus = plus_state(l, with_bot=True)
     bot = np.zeros(d + 1, dtype=complex)
@@ -74,7 +89,13 @@ def comp_matrix(l: int) -> np.ndarray:
 
 
 def product_state(m: int, local: np.ndarray) -> np.ndarray:
-    """m-fold tensor power of a single-register vector, shape (dim,) * m."""
+    """m-fold tensor power of a single-register vector, shape (dim,) * m;
+    ValueError for m < 1 or past ``AMPLITUDE_CAP`` amplitudes, before
+    allocating."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    if _over_cap(local.size, m):
+        raise ValueError("state exceeds the amplitude cap")
     out = np.array([1.0], dtype=complex)
     for _ in range(m):
         out = np.kron(out, local)
@@ -94,6 +115,8 @@ def comp_zero_tail_exact(l: int, k: int, gamma: float):
     """Exact weight of the branch of (Comp |zero>)^(tensor k) with fewer
     than (1 - gamma) k registers on the zero string: the binomial tail
     Pr[Bin(k, (1 - 2^-l)^2) < (1 - gamma) k]."""
+    if l < 1:
+        raise ValueError("need l >= 1")
     if not 0.0 < gamma <= 0.5:
         raise ValueError("gamma must be in (0, 1/2]")
     if k > 10 ** 6:

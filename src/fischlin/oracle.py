@@ -18,9 +18,13 @@ writes each commitment vector once, followed by its programmed points.
 
 A ``HashingOracle`` keeps nothing per query; a ``RecordingOracle`` adds the
 transcript, the ``programmer`` hook and ``reprogram``. Either grinds a
-repetition in one ``grind`` loop over the protocol's walk of encoded
-responses, which looks the midstate up once and makes no ``OracleInput``
-per attempt; all other callers use ``query``.
+repetition in one ``grind`` loop over the protocol's ``response_fields``
+walk: it looks the midstate up once, hashes ``u32 i || u32 c || field``
+per attempt and returns the winning challenge, with no ``OracleInput``
+and no decoded response per attempt unless a programmer is asked. All
+other callers use ``query``. ``adopt_prefix`` takes a commitment
+vector's prefix from a proof blob's canonical fields, so ``verify`` does
+not encode the commitments again.
 
 Each commitment vector of the transcript is kept once, with its prefix
 bytes and ``answers``, a ``tail -> y`` dict in record order that holds each
@@ -59,12 +63,12 @@ __all__ = [
     "RecordingOracle",
     "ReprogramConflict",
     "encode_input",
-    "decode_input",
     "ro_eval",
     "derive_seed",
 ]
 
 _TAG = b"FIS1"
+_U32_PAIR = struct.Struct(">II").pack  # k, l after the tag; i, c opening a tail
 
 
 class ReprogramConflict(ValueError):
@@ -88,11 +92,15 @@ def _encode_prefix(params, protocol, a_vec, encode=None) -> bytes:
     if len(a_vec) != params.k:
         raise ValueError("commitment vector length != k")
     encode = encode or protocol.encode_commitment
-    out = bytearray(_TAG)
-    out += struct.pack(">II", params.k, params.l)
+    out = bytearray(_prefix_head(params))
     for a in a_vec:
         out += pack_field(encode(a))
     return bytes(out)
+
+
+def _prefix_head(params) -> bytes:
+    """Tag, u32 k, u32 l: the bytes before a prefix's commitment fields."""
+    return _TAG + _U32_PAIR(params.k, params.l)
 
 
 def _encode_tail(params, i: int, c: int, response: bytes) -> bytes:
@@ -101,7 +109,7 @@ def _encode_tail(params, i: int, c: int, response: bytes) -> bytes:
         raise ValueError("repetition index out of range")
     if not 0 <= c < params.N:
         raise ValueError("challenge out of range")
-    return struct.pack(">II", i, c) + pack_field(response)
+    return _U32_PAIR(i, c) + pack_field(response)
 
 
 def encode_input(params, protocol, inp: OracleInput) -> bytes:
@@ -113,21 +121,6 @@ def encode_input(params, protocol, inp: OracleInput) -> bytes:
     """
     return _encode_prefix(params, protocol, inp.a_vec) + \
         _encode_tail(params, inp.i, inp.c, protocol.encode_response(inp.z))
-
-
-def decode_input(params, protocol, data: bytes) -> OracleInput:
-    """Inverse of ``encode_input``; raises ValueError on a malformed or
-    truncated key."""
-    if data[:4] != _TAG:
-        raise ValueError("bad tag")
-    reader = FieldReader(data, "key", 4)
-    if reader.u32s(2) != (params.k, params.l):
-        raise ValueError("parameter mismatch")
-    a_vec = tuple(protocol.decode_commitment(reader.field()) for _ in range(params.k))
-    i, c = reader.u32s(2)
-    z = protocol.decode_response(reader.field())
-    reader.end()
-    return OracleInput(a_vec, i, c, z)
 
 
 def _truncate(digest: bytes, out_bits: int) -> int:
@@ -243,7 +236,6 @@ class OracleTranscript:
         vectors: dict[tuple, TranscriptVector] = {}  # hex strings -> vector
         vec = None
         match, canonical = _POINT_LINE.fullmatch, protocol.canonical_response
-        head = struct.Struct(">II").pack
         k, n_max, y_max = params.k, params.N, 1 << params.l
         for n, line in enumerate(text.splitlines(), 1):
             try:
@@ -252,7 +244,7 @@ class OracleTranscript:
                     i, c, z, y = m.groups()
                     i, c, y = int(i), int(c), int(y)
                 if m and 1 <= i <= k and c < n_max and y < y_max:
-                    tail = head(i, c) + pack_field(canonical(bytes.fromhex(z)))
+                    tail = _U32_PAIR(i, c) + pack_field(canonical(bytes.fromhex(z)))
                 elif not line.strip():
                     continue
                 else:
@@ -374,7 +366,7 @@ class ReprogramTable:
                     if type(y) is not int or not 0 <= y < 1 << params.l:
                         raise ValueError("y must be an integer in [0, 2^l)")
                     if raw is None or not key.startswith(raw):
-                        if key[:12] != _TAG + struct.pack(">II", params.k, params.l):
+                        if key[:12] != _prefix_head(params):
                             raise ValueError("key does not start with the tag, k and l")
                         end = 12  # past the k fields, read by their lengths alone
                         for _ in range(params.k):
@@ -436,16 +428,23 @@ class HashingOracle:
         self._contexts: dict[tuple, tuple] = {}
         self._last = (object(), None)
 
-    def _context(self, a_vec: tuple) -> tuple:
-        """(midstate, prefix) of a commitment vector, encoded once."""
+    def _context(self, a_vec: tuple, prefix: bytes | None = None) -> tuple:
+        """(midstate, prefix) of a commitment vector, encoded once unless
+        its ``prefix`` is given."""
         last_vec, ctx = self._last
         if a_vec is not last_vec:
             ctx = self._contexts.get(a_vec)
             if ctx is None:
-                prefix = _encode_prefix(self.params, self.protocol, a_vec)
+                prefix = prefix or _encode_prefix(self.params, self.protocol, a_vec)
                 ctx = self._contexts[a_vec] = (hashlib.sha256(self.seed + prefix), prefix)
             self._last = (a_vec, ctx)
         return ctx
+
+    def adopt_prefix(self, a_vec: tuple, fields: bytes):
+        """Take ``fields``, the k packed canonical encodings of ``a_vec``'s
+        commitments as a proof blob holds them, for the vector's prefix,
+        unless it has one already: the commitments are not encoded again."""
+        self._context(a_vec, _prefix_head(self.params) + fields)
 
     def _tail(self, inp: OracleInput) -> bytes:
         return _encode_tail(self.params, inp.i, inp.c, self.protocol.encode_response(inp.z))
@@ -462,34 +461,33 @@ class HashingOracle:
     def query(self, inp: OracleInput) -> int:
         return self._answer(*self._context(inp.a_vec), self._tail(inp))
 
-    def grind(self, a_vec: tuple, i: int, attempts: int, walk):
-        """The first ``(c, z)``, c < attempts, whose query ``(a_vec, i, c, z)`` answers 0, or
-        None; ``walk`` yields each attempt's ``(z, enc)``. Adds the attempts to ``attempts``."""
+    def grind(self, a_vec: tuple, i: int, attempts: int, fields):
+        """The first challenge c < attempts whose query ``(a_vec, i, c, z)``
+        answers 0, or None; ``fields`` yields each attempt's packed response
+        field ``pack_field(encode_response(z))``. Adds the attempts made to
+        ``attempts``."""
         if not 1 <= i <= self.params.k:
             raise ValueError("repetition index out of range")
         if attempts > self.params.N:
             raise ValueError("challenge out of range")
-        hit = self._grind(a_vec, i, attempts, walk)
-        self.attempts += attempts if hit is None else hit[0] + 1
+        hit = self._grind(a_vec, i, attempts, fields)
+        self.attempts += attempts if hit is None else hit + 1
         return hit
 
-    def _grind(self, a_vec: tuple, i: int, attempts: int, walk):
-        """Hash each attempt from the midstate, or ``query`` it if a table may."""
+    def _grind(self, a_vec: tuple, i: int, attempts: int, fields):
+        """Hash each attempt's tail ``u32 i || u32 c || field`` from the
+        midstate, or answer it through the table if there is one."""
+        mid, prefix = self._context(a_vec)
         if self.table.overrides:
-            return self._grind_by_query(a_vec, i, attempts, walk)
-        mid, _ = self._context(a_vec)
-        head = struct.Struct(">II").pack
+            return next((c for c, field in zip(range(attempts), fields)
+                         if self._answer(mid, prefix, _U32_PAIR(i, c) + field) == 0), None)
         zero = zero_bound(self.params.l)
-        for c, (z, enc) in zip(range(attempts), walk):
+        for c, field in zip(range(attempts), fields):
             h = mid.copy()
-            h.update(head(i, c) + pack_field(enc))
+            h.update(_U32_PAIR(i, c) + field)
             if h.digest() < zero:
-                return c, z
+                return c
         return None
-
-    def _grind_by_query(self, a_vec: tuple, i: int, attempts: int, walk):
-        return next(((c, z) for c, (z, _) in zip(range(attempts), walk)
-                     if self.query(OracleInput(a_vec, i, c, z)) == 0), None)
 
 
 class RecordingOracle(HashingOracle):
@@ -518,28 +516,35 @@ class RecordingOracle(HashingOracle):
         return vec.prefix + tail
 
     def query(self, inp: OracleInput) -> int:
-        mid, vec, tail = self._split(inp)
+        return self._lookup(*self._split(inp), inp)
+
+    def _lookup(self, mid, vec: TranscriptVector, tail: bytes, inp=None) -> int:
+        """The transcript's answer to a query, else the programmer's, the
+        table's or the hash's, recorded. ``inp`` is the structured query,
+        which a grinding attempt leaves out: it is decoded from the tail
+        only if the programmer is asked."""
         y = vec.answers.get(tail)
         if y is None:
             if self.programmer is not None and (vec.prefix, tail) not in self.table.overrides:
-                y = self.programmer(inp)
+                y = self.programmer(vec.input(tail) if inp is None else inp)
                 if y is not None:
                     self.table.program((vec.prefix, tail), y)
             y = self._answer(mid, vec.prefix, tail)
             self.transcript.record(vec, tail, y)
         return y
 
-    def _grind(self, a_vec: tuple, i: int, attempts: int, walk):
-        """Hash and record each attempt, or ``query`` it if a table or programmer may."""
-        if self.table.overrides or self.programmer is not None:
-            return self._grind_by_query(a_vec, i, attempts, walk)
+    def _grind(self, a_vec: tuple, i: int, attempts: int, fields):
+        """Hash and record each attempt, or look it up through the
+        transcript, programmer and table if either of the last two may answer."""
         mid, prefix = self._context(a_vec)
         vec = self.transcript.vector(prefix, a_vec, self.protocol)
+        if self.table.overrides or self.programmer is not None:
+            return next((c for c, field in zip(range(attempts), fields)
+                         if self._lookup(mid, vec, _U32_PAIR(i, c) + field) == 0), None)
         answers, vid, l = vec.answers, vec.vid, self.params.l
         vids = self.transcript.vids
-        head = struct.Struct(">II").pack
-        for c, (z, enc) in zip(range(attempts), walk):
-            tail = head(i, c) + pack_field(enc)
+        for c, field in zip(range(attempts), fields):
+            tail = _U32_PAIR(i, c) + field
             y = answers.get(tail)
             if y is None:
                 h = mid.copy()
@@ -547,7 +552,7 @@ class RecordingOracle(HashingOracle):
                 answers[tail] = y = _truncate(h.digest(), l)
                 vids.append(vid)
             if y == 0:
-                return c, z
+                return c
         return None
 
     def reprogram(self, inp: OracleInput, value: int):

@@ -8,7 +8,9 @@ restricts the challenge space to an exactly-sized set [0, N).
 Both protocol classes expose the same surface (commit / respond / verify /
 extract / simulate plus byte codecs for commitments and responses), so the
 proof-of-work compiler in :mod:`fischlin.transform` never depends on the
-concrete instantiation.
+concrete instantiation. ``response_fields`` is the grinding prover's walk:
+for c = 0, 1, ... it yields ``pack_field(encode_response(respond(c)))``,
+the bytes an oracle query hashes after i and c, without building z.
 """
 
 from __future__ import annotations
@@ -199,14 +201,15 @@ class Schnorr:
             raise ValueError("challenge out of range")
         return (state.r + c * witness.w) % self.group.q
 
-    def responses(self, state: CommitState, witness: SigmaWitness):
-        """``(z, encode_response(z))`` for z = ``respond(state, witness, c)``
-        and c = 0, 1, ... in turn, each z one step z += w mod q from the last."""
-        q, w = self.group.q, witness.w
-        z = state.r % q
-        for _ in range(self.challenge_space):
-            yield z, encode_int(z)
-            z = (z + w) % q
+    def response_fields(self, state: CommitState, witness: SigmaWitness):
+        """``pack_field(encode_response(respond(state, witness, c)))`` for
+        c = 0, 1, ... N - 1 in turn: the bytes a grinding query hashes
+        after i and c. Each z is one step z += w mod q from the last."""
+        width = _width(self.group.q)
+        if width > 0xFFFF:  # pack_field's check, once for the widest field
+            raise ValueError("element encoding too long")
+        n, lengths = self.challenge_space, [m.to_bytes(2, "big") for m in range(width + 1)]
+        return _walk_fields([lengths], state.r, witness.w, self.group.q, n, n)
 
     def verify(self, instance: SigmaInstance, a: int, c: int, z: int) -> bool:
         """Accept iff g^z = a * x^c mod p. Malformed values reject."""
@@ -258,6 +261,23 @@ class Schnorr:
         """``encode_response(decode_response(data))``, without decoding."""
         return data.lstrip(b"\0")
     canonical_commitment = canonical_response  # both codecs are encode_int
+
+
+def _width(q: int) -> int:
+    """Byte width of the widest element below q."""
+    return ((q - 1).bit_length() + 7) // 8
+
+
+def _walk_fields(tables, r: int, w: int, q: int, run: int, n: int):
+    """n fields in runs of ``run``: each run walks z = r, r + w, ... mod q
+    and writes each z after its own table's prefix for z's byte width."""
+    for table in tables:
+        z = r % q
+        for _ in range(min(run, n)):
+            m = (z.bit_length() + 7) >> 3
+            yield table[m] + z.to_bytes(m, "big")
+            z = (z + w) % q
+        n -= run
 
 
 def _digits(c: int, base: int, count: int) -> tuple[int, ...]:
@@ -324,30 +344,29 @@ class RepeatedSigma:
         return tuple(self.base.respond(st, witness, d)
                      for st, d in zip(state.r, ds))
 
-    def responses(self, state, witness):
-        """``(z, encode_response(z))`` for z = ``respond(state, witness, c)``
-        and c = 0, 1, ... in turn. The digits count up from the last copy;
-        only a copy whose digit changed steps its base walk and packs its
-        field again, and a digit that wraps restarts its copy's walk."""
-        base, last, top = self.base, self.copies - 1, self.base.challenge_space - 1
-        walks = [base.responses(st, witness) for st in state.r]
-        steps = [next(walk) for walk in walks]
-        zs = [z for z, _ in steps]
-        fields = [pack_field(enc) for _, enc in steps]
-        digits = [0] * self.copies
-        yield tuple(zs), b"".join(fields)
-        for _ in range(1, self.challenge_space):
-            j = last
-            while digits[j] == top:
-                digits[j] = 0
-                walks[j] = base.responses(state.r[j], witness)
-                zs[j], enc = next(walks[j])
-                fields[j] = pack_field(enc)
-                j -= 1
-            digits[j] += 1
-            zs[j], enc = next(walks[j])
-            fields[j] = pack_field(enc)
-            yield tuple(zs), b"".join(fields)
+    def response_fields(self, state, witness):
+        """``pack_field(encode_response(respond(state, witness, c)))`` for
+        c = 0, 1, ... N - 1 in turn. The digits count up from the last copy,
+        so the other copies' elements, the head, change once every
+        base-space steps, and the last copy walks as a Schnorr walk does
+        between changes."""
+        width = _width(self.group.q)
+        if self.copies * (2 + width) > 0xFFFF:  # pack_field's check, once
+            raise ValueError("element encoding too long")
+        return _walk_fields(self._head_prefixes(state, witness, width), state.r[-1].r,
+                            witness.w, self.group.q, self.base.challenge_space,
+                            self.challenge_space)
+
+    def _head_prefixes(self, state, witness, width):
+        """For each head in turn, the bytes before the last copy's element
+        per byte width m of that element: the outer length, the head's
+        fields and m as the element's own length."""
+        q, w, space = self.group.q, witness.w, self.base.challenge_space
+        for h in range(-(-self.challenge_space // space)):
+            head = b"".join([pack_field(encode_int((st.r + d * w) % q)) for st, d in
+                             zip(state.r, _digits(h, space, self.copies - 1))])
+            yield [(len(head) + 2 + m).to_bytes(2, "big") + head + m.to_bytes(2, "big")
+                   for m in range(width + 1)]
 
     def verify(self, instance, a, c, z):
         if not 0 <= c < self.challenge_space:

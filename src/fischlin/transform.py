@@ -4,10 +4,11 @@ The prover commits k times, then for each repetition i grinds challenges
 c = 0, 1, 2, ... until the l-bit oracle output on (a_vec, i, c, z) is all
 zeros, giving a proof (a_vec, c_vec, z_vec). The verifier recomputes the k
 hashes and the k sigma verifications. Each repetition is one ``grind`` loop
-of the oracle over the protocol's walk of encoded responses; the verifier
-uses ``query``. A ``HashingOracle`` keeps nothing per attempt; a
-``RecordingOracle`` records every attempt, the transcript that
-straight-line extraction reads.
+of the oracle over the protocol's ``response_fields`` walk, which yields
+each attempt's packed response ready to hash; the prover then calls
+``respond`` once, for the winning challenge. The verifier uses ``query``.
+A ``HashingOracle`` keeps nothing per attempt; a ``RecordingOracle``
+records every attempt, the transcript that straight-line extraction reads.
 
 Parameters: k repetitions, l hash bits, challenge space size N, and an
 attempt cap T. T defaults to N (enumerate the whole restricted challenge
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .oracle import OracleInput
 from .sigma import FieldReader, pack_field
@@ -34,7 +35,6 @@ __all__ = [
     "serialize_proof",
     "deserialize_proof",
     "proof_to_json",
-    "proof_from_json",
     "completeness_error",
 ]
 
@@ -92,11 +92,17 @@ class FischlinParams:
 
 @dataclass(frozen=True)
 class Proof:
-    """Length-k vectors of commitments, challenges, responses."""
+    """Length-k vectors of commitments, challenges, responses.
+
+    ``a_fields`` is set by ``deserialize_proof`` alone: the blob's k packed
+    commitment fields, kept when each is the canonical encoding of its
+    commitment, so that ``verify`` hands the oracle its prefix without
+    encoding the commitments again. It is no part of the proof's value."""
 
     a_vec: tuple
     c_vec: tuple
     z_vec: tuple
+    a_fields: bytes | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not len(self.a_vec) == len(self.c_vec) == len(self.z_vec):
@@ -108,18 +114,19 @@ def prove(params: FischlinParams, protocol, instance, witness, oracle, rng) -> P
     the oracle output is zero; raise Abort if some repetition exhausts its
     T attempts. Commitments are never resampled after an abort. Each
     repetition is one ``oracle.grind`` loop over the protocol's walk of
-    encoded responses, one step per attempt; the oracle's ``attempts``
-    grows by the attempts made, and a ``RecordingOracle`` records them."""
+    packed response fields, one step per attempt, and one ``respond`` for
+    the challenge it returns; the oracle's ``attempts`` grows by the
+    attempts made, and a ``RecordingOracle`` records them."""
     k = params.k
     pairs = [protocol.commit(instance, rng) for _ in range(k)]
     a_vec = tuple(p[0] for p in pairs)
     c_vec, z_vec = [], []
-    for i in range(1, k + 1):
-        hit = oracle.grind(a_vec, i, params.T, protocol.responses(pairs[i - 1][1], witness))
-        if hit is None:
+    for i, (_, state) in enumerate(pairs, 1):
+        c = oracle.grind(a_vec, i, params.T, protocol.response_fields(state, witness))
+        if c is None:
             raise Abort(f"repetition {i}: no zero hash within {params.T} attempts")
-        c_vec.append(hit[0])
-        z_vec.append(hit[1])
+        c_vec.append(c)
+        z_vec.append(protocol.respond(state, witness, c))
     return Proof(a_vec, tuple(c_vec), tuple(z_vec))
 
 
@@ -132,6 +139,8 @@ def verify(params: FischlinParams, protocol, instance, proof: Proof, oracle) -> 
     if len(proof.a_vec) != params.k or len(proof.c_vec) != params.k \
             or len(proof.z_vec) != params.k:
         return False
+    if proof.a_fields is not None:
+        oracle.adopt_prefix(proof.a_vec, proof.a_fields)
     for i in range(1, params.k + 1):
         a, c, z = proof.a_vec[i - 1], proof.c_vec[i - 1], proof.z_vec[i - 1]
         if not isinstance(c, int) or not 0 <= c < params.N:
@@ -164,17 +173,21 @@ def peek_params(data: bytes) -> tuple[int, int, int]:
 def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
     """Inverse of ``serialize_proof``, in one pass that reads each length
     from two indexed bytes; ValueError on a cut blob, trailing bytes or a
-    challenge ``>= N``."""
+    challenge ``>= N``. The proof keeps the commitment fields as
+    ``a_fields`` if every one is canonical."""
     if peek_params(data) != (params.k, params.l, params.N):
         raise ValueError("parameter mismatch")
     decode_a, decode_z, n = protocol.decode_commitment, protocol.decode_response, params.N
-    a_vec, c_vec, z_vec = [], [], []
+    canonical = protocol.canonical_commitment
+    a_vec, c_vec, z_vec, fields = [], [], [], []
     end = 16
     try:
         for _ in range(params.k):
             start = end + 2
             end = start + (data[end] << 8 | data[end + 1])
-            a_vec.append(decode_a(data[start:end]))
+            raw = data[start:end]
+            a_vec.append(decode_a(raw))
+            fields.append(data[start - 2:end] if canonical(raw) == raw else None)
             c = int.from_bytes(data[end:end + 4], "big")
             if c >= n:
                 raise ValueError("challenge out of range")
@@ -186,7 +199,8 @@ def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
         raise ValueError("truncated proof") from None
     if end != len(data):
         raise ValueError("truncated proof" if end > len(data) else "trailing bytes")
-    return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec))
+    return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec),
+                 None if None in fields else b"".join(fields))
 
 
 def proof_to_json(params: FischlinParams, protocol, proof: Proof) -> dict:
@@ -196,15 +210,6 @@ def proof_to_json(params: FischlinParams, protocol, proof: Proof) -> dict:
         "c": list(proof.c_vec),
         "z": [protocol.encode_response(z).hex() for z in proof.z_vec],
     }
-
-
-def proof_from_json(params: FischlinParams, protocol, obj: dict) -> Proof:
-    if (obj["k"], obj["l"], obj["N"]) != (params.k, params.l, params.N):
-        raise ValueError("parameter mismatch")
-    return Proof(
-        tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in obj["a"]),
-        tuple(int(c) for c in obj["c"]),
-        tuple(protocol.decode_response(bytes.fromhex(h)) for h in obj["z"]))
 
 
 @dataclass(frozen=True)

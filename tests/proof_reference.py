@@ -31,3 +31,13 @@ def deserialize_proof(params, protocol, data: bytes) -> Proof:
         z_vec.append(decode_z(reader.field()))
     reader.end()
     return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec))
+
+
+def proof_from_json(params, protocol, obj: dict) -> Proof:
+    """Inverse of ``transform.proof_to_json``."""
+    if (obj["k"], obj["l"], obj["N"]) != (params.k, params.l, params.N):
+        raise ValueError("parameter mismatch")
+    return Proof(
+        tuple(protocol.decode_commitment(bytes.fromhex(h)) for h in obj["a"]),
+        tuple(int(c) for c in obj["c"]),
+        tuple(protocol.decode_response(bytes.fromhex(h)) for h in obj["z"]))

@@ -182,6 +182,27 @@ class TestProveVerifyPipeline:
         assert code == 0
         assert json.loads(out)["w"] == json.loads(wit.read_text())["w"]
 
+    def test_leading_zero_commitment_verifies_as_before(self, tmp_path, capsys, keypair):
+        # a 00 byte before the first commitment's first element decodes to
+        # the same proof: verify reads it as valid, with the prefix encoded
+        # canonically, and prints what it printed before verify took the
+        # blob's own commitment fields for the prefix
+        inst, wit = keypair
+        proof = tmp_path / "proof.bin"
+        code, _, _ = run(capsys, "prove", "--instance", str(inst),
+                         "--witness", str(wit), "--k", "8", "--l", "6",
+                         "--c", "4", "--out", str(proof), "--seed", "2")
+        assert code == 0
+        blob = proof.read_bytes()
+        outer, inner = (int.from_bytes(blob[at:at + 2], "big") for at in (16, 18))
+        padded = tmp_path / "padded.bin"
+        padded.write_bytes(blob[:16] + (outer + 1).to_bytes(2, "big")
+                           + (inner + 1).to_bytes(2, "big") + b"\0" + blob[20:])
+        for seed, code in (("2", 0), ("3", 1)):
+            got = run(capsys, "verify", "--instance", str(inst),
+                      "--proof", str(padded), "--seed", seed)
+            assert got == (code, '{\n  "valid": %s\n}\n' % ("false", "true")[code == 0], "")
+
     @pytest.mark.parametrize("shift", [0, 1], ids=["same-y", "other-y"])
     def test_repeated_transcript_line(self, tmp_path, capsys, keypair, shift):
         # a transcript lists each query once: a repeated line with the same
@@ -637,6 +658,28 @@ class TestBoundsPlanLab:
         code, out, err = run(capsys, "lab", check, "--trials", trials)
         assert code == 2 and out == ""
         assert err == "error: --trials must be at least 1\n"
+
+    # the first two ended in numpy's MemoryError traceback, the martingale
+    # after asking for 64 GiB; the next three "passed" at l = 0; m = -1
+    # ended in an IndexError traceback and m = 0 in a numpy message
+    @pytest.mark.parametrize("argv,error", [
+        (["comp-involution", "--l", "24"], "matrix exceeds the amplitude cap"),
+        (["martingale", "--m", "30", "--l", "4"], "state exceeds the amplitude cap"),
+        (["comp-involution", "--l", "0"], "need l >= 1"),
+        (["query-smoke", "--l", "0"], "need l >= 1"),
+        (["comp-zero-tail", "--l", "0"], "need l >= 1"),
+        (["martingale", "--m", "-1"], "need m >= 1"),
+        (["martingale", "--m", "0"], "need m >= 1")])
+    def test_lab_size_errors_exit_2(self, capsys, argv, error):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "lab", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
+        assert peak < 1 << 20
 
     def test_lab_detects_tail_defect(self, capsys):
         # the known falsified corner of the linear-rate tail bound

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from fischlin import lab
 from fischlin.bounds import eval_eps_dprime, eval_eps_gamma
 from fischlin.lab import (
     AMPLITUDE_CAP,
+    _over_cap,
     SmokeReport,
     TensorState,
     _hadamard_basis,
@@ -51,6 +53,55 @@ class TestCompMatrix:
         expect = np.array([0.5, -0.5, 2.0 ** -0.5])
         assert np.abs(got - expect).max() <= 1e-12
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+
+
+def refuse_arrays(monkeypatch):
+    """Make numpy's array builders that lab calls raise, so a size check
+    that comes after an allocation fails the test instead of allocating."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("numpy asked for an array")
+
+    for name in ("array", "zeros", "eye", "outer", "kron"):
+        monkeypatch.setattr(lab.np, name, refuse)
+
+
+class TestCapBeforeAllocating:
+    """Each builder checks AMPLITUDE_CAP, and comp_matrix l >= 1, before
+    numpy builds anything."""
+
+    @pytest.mark.parametrize("l", [12, 24, 10 ** 6])
+    def test_comp_matrix(self, l, monkeypatch):
+        refuse_arrays(monkeypatch)
+        with pytest.raises(ValueError, match="matrix exceeds the amplitude cap"):
+            comp_matrix(l)
+
+    @pytest.mark.parametrize("l", [0, -1])
+    def test_comp_matrix_needs_l(self, l, monkeypatch):
+        refuse_arrays(monkeypatch)
+        with pytest.raises(ValueError, match="need l >= 1"):
+            comp_matrix(l)
+
+    @pytest.mark.parametrize("m,l", [(30, 4), (25, 1), (10 ** 6, 1)])
+    def test_product_state(self, m, l, monkeypatch):
+        local = plus_state(l)
+        refuse_arrays(monkeypatch)
+        with pytest.raises(ValueError, match="state exceeds the amplitude cap"):
+            product_state(m, local)
+
+    @pytest.mark.parametrize("l,with_bot", [(24, True), (25, False), (10 ** 6, False)])
+    def test_plus_state(self, l, with_bot, monkeypatch):
+        refuse_arrays(monkeypatch)
+        with pytest.raises(ValueError, match="state exceeds the amplitude cap"):
+            plus_state(l, with_bot)
+
+    def test_cap_boundary(self):
+        # (2^11 + 1)^2 and 2^24 fit, (2^12 + 1)^2 and 2^25 do not; a base
+        # of 1 never passes the cap
+        assert not _over_cap(2049, 2) and _over_cap(4097, 2)
+        assert not _over_cap(2, 24) and _over_cap(2, 25)
+        assert not _over_cap(1, 10 ** 9) and _over_cap(16, 30)
+        assert plus_state(3, with_bot=True).size == 9
+        assert product_state(3, plus_state(1)).shape == (2, 2, 2)
 
 
 class TestCompZeroTail:

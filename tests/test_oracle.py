@@ -17,7 +17,6 @@ from fischlin.oracle import (
     RecordingOracle,
     ReprogramConflict,
     ReprogramTable,
-    decode_input,
     derive_seed,
     _encode_prefix,
     encode_input,
@@ -27,7 +26,7 @@ from fischlin.oracle import (
 from fischlin.sigma import FieldReader, GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
     SigmaWitness, pack_field, protocol_for_challenge_space
 from fischlin.transform import FischlinParams
-from transcript_entries import entries
+from transcript_entries import decode_input, entries
 
 PARAMS = FischlinParams(k=2, l=4, N=16, T=16)
 KEY = encode_input(PARAMS, Schnorr(GroupParams(1019, 509, 4), 16),

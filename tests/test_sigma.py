@@ -1,8 +1,9 @@
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -14,6 +15,7 @@ from fischlin.sigma import (
     SigmaInstance,
     SigmaWitness,
     keygen,
+    pack_field,
     protocol_for_challenge_space,
     restrict_and_repeat,
 )
@@ -86,31 +88,53 @@ class TestRespond:
 TOY = GroupParams(1019, 509, 4)
 
 
-def walk_reference(proto, state, w):
-    """``(z, encode_response(z))`` for z = ``respond`` at c = 0, 1, ... N - 1."""
-    zs = [proto.respond(state, SigmaWitness(w), c) for c in range(proto.challenge_space)]
-    return [(z, proto.encode_response(z)) for z in zs]
+TINY = GroupParams(23, 11, 2)
+
+
+@st.composite
+def walk_cases(draw, copies):
+    """(protocol, commit state, witness, T): Schnorr for one copy, else
+    RepeatedSigma over a base space that N is often no power of, and a cut
+    T <= N that is often below N."""
+    group = draw(st.sampled_from([TOY, TINY]))
+    q = group.q
+    if copies == 1:
+        proto = Schnorr(group, draw(st.integers(2, q)))
+        state = CommitState(draw(st.integers(0, q - 1)), None)
+    else:
+        base = draw(st.sampled_from([2, 3, 5, 7, q]))
+        proto = RepeatedSigma(Schnorr(group, base), copies,
+                              draw(st.integers(2, min(base ** copies, 3000))))
+        state = CommitState(tuple(CommitState(r, None) for r in draw(
+            st.lists(st.integers(0, q - 1), min_size=copies, max_size=copies))), None)
+    n = proto.challenge_space
+    return proto, state, SigmaWitness(draw(st.integers(1, q - 1))), \
+        draw(st.one_of(st.just(n), st.integers(1, n)))
+
+
+def check_walk(proto, state, wit, t):
+    """The walk's first t fields are the packed ``respond`` encodings, and
+    an uncut walk yields exactly N of them."""
+    want = [pack_field(proto.encode_response(proto.respond(state, wit, c)))
+            for c in range(t)]
+    assert list(islice(proto.response_fields(state, wit), t)) == want
+    if t == proto.challenge_space:
+        assert list(proto.response_fields(state, wit)) == want
 
 
 class TestResponseWalk:
-    """``responses`` yields exactly ``respond`` and its encoding for c = 0,
-    1, ... N - 1."""
+    """``response_fields`` yields exactly the packed encoding of ``respond``
+    for c = 0, 1, ... N - 1, and a walk cut short at T yields its first T."""
 
-    @given(r=st.integers(0, 508), w=st.integers(1, 508), n=st.integers(2, 509))
-    def test_schnorr(self, r, w, n):
-        proto, state = Schnorr(TOY, n), CommitState(r, pow(4, r, 1019))
-        assert list(proto.responses(state, SigmaWitness(w))) == walk_reference(proto, state, w)
+    @settings(max_examples=200, deadline=None)
+    @given(walk_cases(1))
+    def test_schnorr(self, case):
+        check_walk(*case)
 
-    @given(rs=st.lists(st.integers(0, 508), min_size=3, max_size=3),
-           w=st.integers(1, 508), base=st.sampled_from([2, 3, 5, 7, 509]),
-           copies=st.sampled_from([2, 3]), data=st.data())
-    def test_repeated(self, rs, w, base, copies, data):
-        n = data.draw(st.integers(2, min(base ** copies, 3000)))
-        assume(all(n != base ** e for e in range(copies + 1)))
-        proto = RepeatedSigma(Schnorr(TOY, base), copies, n)
-        state = CommitState(tuple(CommitState(r, pow(4, r, 1019)) for r in rs[:copies]),
-                            None)
-        assert list(proto.responses(state, SigmaWitness(w))) == walk_reference(proto, state, w)
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(walk_cases))
+    def test_repeated(self, case):
+        check_walk(*case)
 
 
 class TestVerify:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from fischlin.oracle import OracleInput, RecordingOracle, ReprogramConflict, \
-    _encode_prefix, decode_input, derive_seed
+    _encode_prefix, derive_seed
 from fischlin.sigma import Schnorr, SigmaInstance, keygen, \
     protocol_for_challenge_space
 from fischlin.simulator import (
@@ -19,6 +19,7 @@ from fischlin.simulator import (
     simulate,
 )
 from fischlin.transform import Abort, FischlinParams, completeness_error, verify
+from transcript_entries import decode_input
 
 PARAMS = FischlinParams(k=2, l=2, N=16, T=16)
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from fischlin import oracle as oracle_mod
 from fischlin.extractor import attempts_per_repetition
 from fischlin.oracle import HashingOracle, OracleInput, RecordingOracle, ReprogramTable, \
-    decode_input, derive_seed, encode_input
+    derive_seed, encode_input
 from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, SigmaInstance, SigmaWitness, \
-    keygen, protocol_for_challenge_space
+    keygen, pack_field, protocol_for_challenge_space
 from fischlin.transform import (
     Abort,
     FischlinParams,
@@ -20,14 +20,14 @@ from fischlin.transform import (
     completeness_error,
     deserialize_proof,
     peek_params,
-    proof_from_json,
     proof_to_json,
     prove,
     serialize_proof,
     verify,
 )
 import proof_reference
-from transcript_entries import entries
+from proof_reference import proof_from_json
+from transcript_entries import decode_input, entries
 
 
 class TestParams:
@@ -191,6 +191,22 @@ class TestProveVerify:
         assert len(oracle.transcript) >= 10_000
         assert len(gc.get_objects()) - before <= params.k + 16
 
+    @pytest.mark.parametrize("n", [64, 768], ids=["schnorr", "two-copy"])
+    @pytest.mark.parametrize("oracle_cls", [HashingOracle, RecordingOracle])
+    def test_prove_responds_once_per_repetition(self, toy_group, monkeypatch, n, oracle_cls):
+        # grinding hashes the walk's packed fields; respond runs once per
+        # repetition, for the challenge that won
+        params = FischlinParams(k=12, l=3, N=n, T=n)
+        proto, rng, inst, wit, _ = make_run(toy_group, params, 4)
+        calls = []
+        respond = proto.respond
+        monkeypatch.setattr(proto, "respond", lambda *a: calls.append(a[2]) or respond(*a))
+        oracle = oracle_cls(params, proto, derive_seed(4))
+        proof = prove(params, proto, inst, wit, oracle, rng)
+        assert calls == list(proof.c_vec)
+        assert oracle.attempts > 2 * params.k
+        assert verify(params, proto, inst, proof, oracle)
+
     def test_attempt_counts_match_challenges(self, toy_group):
         params = FischlinParams(k=4, l=2, N=32, T=32)
         proto, rng, inst, wit, oracle = make_run(toy_group, params, 8)
@@ -334,6 +350,46 @@ class TestSerialization:
                 deserialize_proof(params, proto, serialize_proof(params, proto, bad))
 
 
+class TestCommitmentFields:
+    """``deserialize_proof`` keeps the blob's commitment fields when each is
+    canonical, and ``verify`` then builds the oracle prefix from them."""
+
+    def blobs(self, toy_group):
+        """(params, protocol, instance, proof, blob, the blob with a 00
+        byte before the first commitment's first element)."""
+        params = FischlinParams.explicit(8, 6, 4)
+        proto, rng, inst, wit, oracle = make_run(toy_group, params, 2)
+        assert proto.copies == 2
+        proof = prove(params, proto, inst, wit, oracle, rng)
+        blob = serialize_proof(params, proto, proof)
+        outer, inner = (int.from_bytes(blob[at:at + 2], "big") for at in (16, 18))
+        padded = blob[:16] + (outer + 1).to_bytes(2, "big") + \
+            (inner + 1).to_bytes(2, "big") + b"\0" + blob[20:]
+        return params, proto, inst, proof, blob, padded
+
+    def test_fields_kept_only_when_canonical(self, toy_group):
+        params, proto, _, proof, blob, padded = self.blobs(toy_group)
+        read = deserialize_proof(params, proto, blob)
+        assert read.a_fields == b"".join(
+            pack_field(proto.encode_commitment(a)) for a in proof.a_vec)
+        assert proof.a_fields is None and read == proof
+        padded_read = deserialize_proof(params, proto, padded)
+        assert padded_read.a_fields is None and padded_read == proof
+
+    def test_verify_encodes_only_a_padded_vector(self, toy_group, monkeypatch):
+        params, proto, inst, _, blob, padded = self.blobs(toy_group)
+        calls = []
+        encode_prefix = oracle_mod._encode_prefix
+        monkeypatch.setattr(oracle_mod, "_encode_prefix",
+                            lambda *a: calls.append(a) or encode_prefix(*a))
+        for data, encodes in ((blob, 0), (padded, 1)):
+            calls.clear()
+            for cls in (HashingOracle, RecordingOracle):
+                oracle = cls(params, proto, derive_seed(2))
+                assert verify(params, proto, inst, deserialize_proof(params, proto, data), oracle)
+            assert len(calls) == 2 * encodes
+
+
 FUZZ_GROUP = GroupParams(1019, 509, 4)
 # Schnorr at N = 16, and N = 600 > 509: the two-copy RepeatedSigma
 FUZZ_PROTOCOLS = [(Schnorr(FUZZ_GROUP, 16), 16),
@@ -465,8 +521,8 @@ class TestOnePassReader:
 
 # Reference: the prover as it was before it ground through
 # ``RecordingOracle.grind``, one ``query`` of an ``OracleInput`` per attempt.
-# Its responses come from ``respond``, which the walk tests in test_sigma.py
-# show the protocols' ``responses`` walks equal.
+# Its responses come from ``respond``, whose packed encodings the walk tests
+# in test_sigma.py show the protocols' ``response_fields`` walks equal.
 
 def reference_prove(params, protocol, instance, witness, oracle, rng):
     k = params.k
@@ -547,12 +603,11 @@ class TestProverMatchesReference:
         got = prove_twice(prove, params, protocol, seed, kind)
         assert got == prove_twice(reference_prove, params, protocol, seed, kind)
         assert got[0][0] == got[0][1]
-        # each step of the walk the prover took is respond and its encoding
+        # each step of the walk the prover took is respond, packed
         inst, wit = PROVE_INSTANCE
         state = protocol.commit(inst, random.Random(seed))[1]
-        for c, (z, enc) in enumerate(protocol.responses(state, wit)):
-            assert z == protocol.respond(state, wit, c)
-            assert enc == protocol.encode_response(z)
+        for c, field in enumerate(protocol.response_fields(state, wit)):
+            assert field == pack_field(protocol.encode_response(protocol.respond(state, wit, c)))
 
 
 # The oracle ``prove`` and ``verify`` get without a transcript: a

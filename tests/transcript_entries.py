@@ -1,13 +1,30 @@
-"""A decoded, record-order view of an ``OracleTranscript`` for the tests.
+"""Decoded views of oracle queries for the tests.
 
-The transcript keeps each recorded query once, in its vector's ``answers``,
-and the record order across vectors as a list of vector numbers; the tests
-compare whole recorded queries, so this rebuilds each one from its
-vector's prefix and ``TranscriptVector.input``."""
+``decode_input`` inverts ``encode_input``. ``entries`` rebuilds the
+record-order list of recorded queries from an ``OracleTranscript``, which
+keeps each query once, in its vector's ``answers``, and the record order
+across vectors as a list of vector numbers; the tests compare whole
+recorded queries, so it decodes each one with ``TranscriptVector.input``."""
 
 from typing import NamedTuple
 
 from fischlin.oracle import OracleInput
+from fischlin.sigma import FieldReader
+
+
+def decode_input(params, protocol, data: bytes) -> OracleInput:
+    """Inverse of ``encode_input``; raises ValueError on a malformed or
+    truncated key."""
+    if data[:4] != b"FIS1":
+        raise ValueError("bad tag")
+    reader = FieldReader(data, "key", 4)
+    if reader.u32s(2) != (params.k, params.l):
+        raise ValueError("parameter mismatch")
+    a_vec = tuple(protocol.decode_commitment(reader.field()) for _ in range(params.k))
+    i, c = reader.u32s(2)
+    z = protocol.decode_response(reader.field())
+    reader.end()
+    return OracleInput(a_vec, i, c, z)
 
 
 class Entry(NamedTuple):
