@@ -1,9 +1,10 @@
 """Simulate proofs without the witness by reprogramming the oracle.
 
 The simulator samples a private random table over (repetition, challenge)
-cells, picks each proof challenge uniformly among its row's zero cells,
-builds the transcripts with the challenge-first sigma simulator, and
-answers any valid query carrying its commitment prefix from the table.
+cells, takes each proof challenge as its row's first zero cell, as the
+prover grinds, builds the transcripts with the challenge-first sigma
+simulator, and answers any valid query carrying its commitment prefix
+from the table.
 The resulting proof verifies under the programmed oracle, and the hybrid
 experiments show each step of the bridge from the honest prover.
 """
@@ -43,12 +44,13 @@ print("verifies under plain oracle:",
       verify(params, protocol, instance, out.proof, plain))
 
 # hybrid bridge: H0 honest prover, H1 honest responses with uniform
-# challenges under a reprogrammed oracle, H1' challenges conditioned on
-# zero cells, H2 simulated responses (the simulator itself)
+# challenges under a reprogrammed oracle, H1' each challenge the first
+# zero cell of its row, H2 simulated responses (the simulator itself);
+# H0, H1' and H2 give challenges of the same law
 rng = random.Random(5)
 inst, wit = keygen(group, rng)
 for mode in ("H0", "H1", "H1'", "H2"):
-    accepts = 0
+    accepts, challenges = 0, []
     runs = 200
     for seed in range(runs):
         o = RecordingOracle(params, protocol, derive_seed(1000 + seed))
@@ -58,7 +60,9 @@ for mode in ("H0", "H1", "H1'", "H2"):
         except Exception:
             continue
         accepts += s.verdict
-    print(f"hybrid {mode:3s}: {accepts}/{runs} accepting")
+        challenges += s.proof.c_vec
+    print(f"hybrid {mode:3s}: {accepts}/{runs} accepting, "
+          f"mean challenge {sum(challenges) / len(challenges):.2f}")
 
 # the adaptive-reprogramming price of the H0 -> H1 hop, as a function of
 # the distinguisher's query budget and the per-round chance of guessing a

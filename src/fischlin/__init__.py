@@ -17,8 +17,8 @@ from .oracle import OracleInput, OracleTranscript, RecordingOracle, \
 from .sigma import CommitState, GroupParams, RepeatedSigma, Schnorr, \
     SigmaInstance, SigmaWitness, keygen, protocol_for_challenge_space, \
     restrict_and_repeat
-from .simulator import HybridSample, SimOutput, hybrid_experiment, \
-    reprogramming_advantage, sample_zero_challenge, simulate
+from .simulator import HybridSample, SimOutput, first_zero_challenge, \
+    hybrid_experiment, reprogramming_advantage, simulate
 from .transform import Abort, CompletenessError, FischlinParams, Proof, \
     completeness_error, deserialize_proof, proof_to_json, \
     prove, serialize_proof, verify
@@ -53,6 +53,7 @@ __all__ = [
     "deserialize_proof",
     "encode_input",
     "extract",
+    "first_zero_challenge",
     "hybrid_experiment",
     "keygen",
     "lab",
@@ -63,7 +64,6 @@ __all__ = [
     "restrict_and_repeat",
     "ro_eval",
     "run_online_experiment",
-    "sample_zero_challenge",
     "serialize_proof",
     "simulate",
     "verify",

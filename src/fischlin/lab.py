@@ -420,10 +420,12 @@ def query_unitary_smoke(l: int, domain_size: int) -> SmokeReport:
     d = 1 << l
     dd = d + 1
     bot = d
-    # the cap is on O's dense size, though only its diagonal blocks are built
-    dim_rest = d * dd ** domain_size
-    if domain_size < 1 or (domain_size * dim_rest) ** 2 > AMPLITUDE_CAP:
+    # the cap is on O's dense size, though only its diagonal blocks are
+    # built; _over_cap first, so a huge domain builds no huge power
+    if domain_size < 1 or _over_cap(dd, domain_size) \
+            or (domain_size * d * dd ** domain_size) ** 2 > AMPLITUDE_CAP:
         raise ValueError("need domain_size >= 1 and a dense operator within AMPLITUDE_CAP")
+    dim_rest = d * dd ** domain_size
     op = _query_op(l)
 
     # O = sum_x |x><x| (x) O^x is block diagonal over the input register, so

@@ -22,9 +22,7 @@ repetition in one ``grind`` loop over the protocol's ``response_fields``
 walk: it looks the midstate up once, hashes ``u32 i || u32 c || field``
 per attempt and returns the winning challenge, with no ``OracleInput``
 and no decoded response per attempt unless a programmer is asked. All
-other callers use ``query``. ``adopt_prefix`` takes a commitment
-vector's prefix from a proof blob's canonical fields, so ``verify`` does
-not encode the commitments again.
+other callers use ``query``.
 
 Each commitment vector of the transcript is kept once, with its prefix
 bytes and ``answers``, a ``tail -> y`` dict in record order that holds each
@@ -428,23 +426,16 @@ class HashingOracle:
         self._contexts: dict[tuple, tuple] = {}
         self._last = (object(), None)
 
-    def _context(self, a_vec: tuple, prefix: bytes | None = None) -> tuple:
-        """(midstate, prefix) of a commitment vector, encoded once unless
-        its ``prefix`` is given."""
+    def _context(self, a_vec: tuple) -> tuple:
+        """(midstate, prefix) of a commitment vector, encoded once."""
         last_vec, ctx = self._last
         if a_vec is not last_vec:
             ctx = self._contexts.get(a_vec)
             if ctx is None:
-                prefix = prefix or _encode_prefix(self.params, self.protocol, a_vec)
+                prefix = _encode_prefix(self.params, self.protocol, a_vec)
                 ctx = self._contexts[a_vec] = (hashlib.sha256(self.seed + prefix), prefix)
             self._last = (a_vec, ctx)
         return ctx
-
-    def adopt_prefix(self, a_vec: tuple, fields: bytes):
-        """Take ``fields``, the k packed canonical encodings of ``a_vec``'s
-        commitments as a proof blob holds them, for the vector's prefix,
-        unless it has one already: the commitments are not encoded again."""
-        self._context(a_vec, _prefix_head(self.params) + fields)
 
     def _tail(self, inp: OracleInput) -> bytes:
         return _encode_tail(self.params, inp.i, inp.c, self.protocol.encode_response(inp.z))

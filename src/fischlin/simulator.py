@@ -1,13 +1,16 @@
 """Zero-knowledge simulation by oracle reprogramming.
 
 The simulator never sees the witness. It samples a private random function
-T over [k] x [0, N) (realized lazily through a second seeded hash), picks
-each proof challenge uniformly among the zero cells of its row, builds the
-per-repetition transcripts with the sigma simulator, and answers any
-sigma-valid oracle query prefixed by its commitment vector with the
-corresponding T cell, leaving all other queries untouched. Programming
-only ever touches fresh points; a point that was already queried raises
-ReprogramConflict.
+tilde over [k] x [0, N) (evaluated lazily through a second seeded hash),
+takes each proof challenge by the honest prover's rule, the first c in
+0, 1, ..., T - 1 whose tilde cell is zero, builds the per-repetition
+transcripts with the sigma simulator, and answers any sigma-valid oracle
+query prefixed by its commitment vector with the corresponding tilde cell,
+leaving all other queries untouched. So a simulated challenge has the
+prover's law, the truncated geometric law of the first zero hash, and the
+simulator aborts exactly when the prover would: on a row whose first T
+cells hold no zero. Programming only ever touches fresh points; a point
+that was already queried raises ReprogramConflict.
 
 The hybrid experiments interpolate between the honest prover and the
 simulator for distributional comparison, and ``reprogramming_advantage``
@@ -31,59 +34,41 @@ __all__ = [
     "HybridSample",
     "simulate",
     "hybrid_experiment",
-    "sample_zero_challenge",
+    "first_zero_challenge",
     "reprogramming_advantage",
 ]
 
-_REJECTION_FACTOR = 64
-
-
 class TildeFunction:
-    """Lazily materialized random map (i, c) -> l-bit value.
+    """Lazily evaluated random map (i, c) -> l-bit value.
 
     ``_mid`` is the SHA-256 state after absorbing the hash seed, from which
-    the zero-cell sampler hashes its candidates without building inputs."""
+    ``first_zero_challenge`` hashes a row's cells without building inputs."""
 
     def __init__(self, seed: bytes, l: int):
         self.seed = seed
         self.l = l
-        self.cells: dict[tuple[int, int], int] = {}
         self._hash_seed = b"fischlin-tilde" + seed
         self._mid = hashlib.sha256(self._hash_seed)
 
     def __call__(self, i: int, c: int) -> int:
-        v = self.cells.get((i, c))
-        if v is None:
-            v = ro_eval(self._hash_seed, struct.pack(">II", i, c), self.l)
-            self.cells[(i, c)] = v
-        return v
+        return ro_eval(self._hash_seed, struct.pack(">II", i, c), self.l)
 
 
-def sample_zero_challenge(tilde: TildeFunction, i: int, n: int, rng) -> int:
-    """Uniform challenge among the zero cells of row i, or Abort.
+def first_zero_challenge(tilde: TildeFunction, i: int, attempts: int) -> int:
+    """The first c < attempts with ``tilde(i, c) == 0``, or Abort: the
+    prover's grinding rule, run on row i of the tilde function.
 
-    Rejection-samples up to 64 * 2^l uniform candidates, then falls back to
-    an exhaustive scan with a uniform choice among the zeros found; both
-    stages are exactly uniform over the zero set.
-
-    A candidate is hashed from a copy of the row's SHA-256 state, and it is
-    a zero cell, ``tilde(i, c) == 0``, when its digest is below
-    ``zero_bound(l)``. Rejected candidates are not cached in ``tilde.cells``.
-    """
-    randrange = rng.randrange
+    Each cell is hashed from a copy of the row's SHA-256 state, and it is
+    zero when its digest is below ``zero_bound(l)``."""
     row = tilde._mid.copy()
     row.update(struct.pack(">I", i))
     zero_below = zero_bound(tilde.l)
-    for _ in range(_REJECTION_FACTOR << tilde.l):
-        c = randrange(n)
+    for c in range(attempts):
         h = row.copy()
         h.update(c.to_bytes(4, "big"))
         if h.digest() < zero_below:
             return c
-    zeros = [c for c in range(n) if tilde(i, c) == 0]
-    if not zeros:
-        raise transform.Abort(f"repetition {i}: no zero cell among {n} challenges")
-    return zeros[rng.randrange(len(zeros))]
+    raise transform.Abort(f"repetition {i}: no zero cell within {attempts} challenges")
 
 
 @dataclass(frozen=True)
@@ -115,12 +100,12 @@ def _install_programmer(oracle, protocol, instance, a_vec, tilde):
 
 def _run(params, protocol, instance, oracle, rng, witness, mode):
     """Shared core of the simulator and the reprogramming hybrids."""
-    k, n = params.k, params.N
+    k = params.k
     tilde = TildeFunction(rng.getrandbits(256).to_bytes(32, "big"), params.l)
     if mode == "H1":
-        c_vec = tuple(rng.randrange(n) for _ in range(k))
+        c_vec = tuple(rng.randrange(params.N) for _ in range(k))
     else:
-        c_vec = tuple(sample_zero_challenge(tilde, i, n, rng)
+        c_vec = tuple(first_zero_challenge(tilde, i, params.T)
                       for i in range(1, k + 1))
     if mode == "H2":
         pairs = [protocol.simulate(instance, c, rng) for c in c_vec]
@@ -141,9 +126,11 @@ def _run(params, protocol, instance, oracle, rng, witness, mode):
 def simulate(params, protocol, instance, oracle, rng) -> SimOutput:
     """Produce a proof for a statement in the language without the witness.
 
-    Raises Abort when some tilde row has no zero cell, which happens with
-    probability at most k * (1 - 2^-l)^N. Conditioned on not aborting, the
-    output proof verifies under the programmed oracle.
+    Each challenge is the first zero cell of its tilde row within T, as
+    the prover grinds. Raises Abort when some row has no zero cell among
+    its first T, which happens with probability at most k * (1 - 2^-l)^T,
+    the prover's own abort bound. Conditioned on not aborting, the output
+    proof verifies under the programmed oracle.
     """
     proof, tilde = _run(params, protocol, instance, oracle, rng,
                         witness=None, mode="H2")
@@ -156,9 +143,10 @@ def hybrid_experiment(params, protocol, instance, witness, mode, oracle, rng) ->
     H0: honest prover against the unmodified oracle. H1: honest
     commitments and responses, challenges uniform over [0, N), sigma-valid
     queries with the proof's prefix reprogrammed to a fresh random
-    function. H1': as H1 with challenges uniform among that function's
-    zero cells. H2: as H1' with simulated responses; this is exactly the
-    simulator's code path.
+    function. H1': as H1 with each challenge the first zero cell of that
+    function's row within T, the prover's rule, so H0 and H1' give
+    challenges of the same law. H2: as H1' with simulated responses; this
+    is exactly the simulator's code path.
     """
     if mode not in ("H0", "H1", "H1'", "H2"):
         raise ValueError(f"unknown hybrid {mode!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .oracle import OracleInput
 from .sigma import FieldReader, pack_field
@@ -92,17 +92,11 @@ class FischlinParams:
 
 @dataclass(frozen=True)
 class Proof:
-    """Length-k vectors of commitments, challenges, responses.
-
-    ``a_fields`` is set by ``deserialize_proof`` alone: the blob's k packed
-    commitment fields, kept when each is the canonical encoding of its
-    commitment, so that ``verify`` hands the oracle its prefix without
-    encoding the commitments again. It is no part of the proof's value."""
+    """Length-k vectors of commitments, challenges, responses."""
 
     a_vec: tuple
     c_vec: tuple
     z_vec: tuple
-    a_fields: bytes | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not len(self.a_vec) == len(self.c_vec) == len(self.z_vec):
@@ -139,8 +133,6 @@ def verify(params: FischlinParams, protocol, instance, proof: Proof, oracle) -> 
     if len(proof.a_vec) != params.k or len(proof.c_vec) != params.k \
             or len(proof.z_vec) != params.k:
         return False
-    if proof.a_fields is not None:
-        oracle.adopt_prefix(proof.a_vec, proof.a_fields)
     for i in range(1, params.k + 1):
         a, c, z = proof.a_vec[i - 1], proof.c_vec[i - 1], proof.z_vec[i - 1]
         if not isinstance(c, int) or not 0 <= c < params.N:
@@ -173,21 +165,17 @@ def peek_params(data: bytes) -> tuple[int, int, int]:
 def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
     """Inverse of ``serialize_proof``, in one pass that reads each length
     from two indexed bytes; ValueError on a cut blob, trailing bytes or a
-    challenge ``>= N``. The proof keeps the commitment fields as
-    ``a_fields`` if every one is canonical."""
+    challenge ``>= N``."""
     if peek_params(data) != (params.k, params.l, params.N):
         raise ValueError("parameter mismatch")
     decode_a, decode_z, n = protocol.decode_commitment, protocol.decode_response, params.N
-    canonical = protocol.canonical_commitment
-    a_vec, c_vec, z_vec, fields = [], [], [], []
+    a_vec, c_vec, z_vec = [], [], []
     end = 16
     try:
         for _ in range(params.k):
             start = end + 2
             end = start + (data[end] << 8 | data[end + 1])
-            raw = data[start:end]
-            a_vec.append(decode_a(raw))
-            fields.append(data[start - 2:end] if canonical(raw) == raw else None)
+            a_vec.append(decode_a(data[start:end]))
             c = int.from_bytes(data[end:end + 4], "big")
             if c >= n:
                 raise ValueError("challenge out of range")
@@ -199,8 +187,7 @@ def deserialize_proof(params: FischlinParams, protocol, data: bytes) -> Proof:
         raise ValueError("truncated proof") from None
     if end != len(data):
         raise ValueError("truncated proof" if end > len(data) else "trailing bytes")
-    return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec),
-                 None if None in fields else b"".join(fields))
+    return Proof(tuple(a_vec), tuple(c_vec), tuple(z_vec))
 
 
 def proof_to_json(params: FischlinParams, protocol, proof: Proof) -> dict:

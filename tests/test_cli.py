@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -184,9 +185,9 @@ class TestProveVerifyPipeline:
 
     def test_leading_zero_commitment_verifies_as_before(self, tmp_path, capsys, keypair):
         # a 00 byte before the first commitment's first element decodes to
-        # the same proof: verify reads it as valid, with the prefix encoded
-        # canonically, and prints what it printed before verify took the
-        # blob's own commitment fields for the prefix
+        # the same proof: verify encodes the prefix from the decoded
+        # commitments, so it accepts under the prover's seed and rejects
+        # under another, as for the plain blob
         inst, wit = keypair
         proof = tmp_path / "proof.bin"
         code, _, _ = run(capsys, "prove", "--instance", str(inst),
@@ -408,6 +409,24 @@ class TestProveVerifyPipeline:
             assert code == 1 and out == ""
             assert err.startswith(f"{what} aborted: ")
             assert not proof.exists()
+
+    def test_simulate_challenges_below_t(self, tmp_path, capsys, keypair):
+        # the simulator scans T cells, as the prover grinds T attempts: no
+        # challenge reaches T = 3 of the N = 40, and each proof verifies
+        inst, _ = keypair
+        proof, table = tmp_path / "sim.bin", tmp_path / "table.json"
+        simulated = 0
+        for seed in range(10):
+            code, out, _ = run(capsys, "simulate", "--instance", str(inst), "--k", "4",
+                               "--l", "1", "--n", "40", "--t", "3", "--seed", str(seed),
+                               "--out", str(proof), "--table-out", str(table))
+            if code == 1:  # some row's first 3 cells hold no zero
+                continue
+            assert code == 0 and all(c < 3 for c in json.loads(out)["c"])
+            assert run(capsys, "verify", "--instance", str(inst), "--proof", str(proof),
+                       "--table", str(table), "--seed", str(seed))[0] == 0
+            simulated += 1
+        assert simulated >= 3
 
 
 def line_format(text: str) -> str:
@@ -680,6 +699,15 @@ class TestBoundsPlanLab:
         assert code == 2 and out == ""
         assert err == f"error: {error}\n"
         assert peak < 1 << 20
+
+    def test_query_smoke_checks_cap_before_power(self, capsys):
+        # 3^3000000 took about a second to build before the cap check, and
+        # the time grows faster than the domain
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lab", "query-smoke", "--l", "1", "--domain", "3000000")
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err == "error: need domain_size >= 1 and a dense operator within AMPLITUDE_CAP\n"
 
     def test_lab_detects_tail_defect(self, capsys):
         # the known falsified corner of the linear-rate tail bound

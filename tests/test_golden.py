@@ -28,16 +28,31 @@ digests of ``extract`` and ``extract-no-pair``, which read those files.
 ``extract-line-format`` reads the line-format transcript the earlier
 ``prove-record`` wrote (``data/prove_record_line_format.jsonl``) and must
 give the same stdout as ``extract``, so the same digest.
+
+Three more changed on purpose: ``simulate``, ``verify-table`` and
+``verify-table-list``. The simulator takes each challenge by the prover's
+rule, the first zero cell of its tilde row within T, where it used to
+draw one uniformly among the zero cells; it no longer draws challenges
+from the rng either, so the step's proof, table and stdout all differ,
+and so does the transcript that replaying the table records. The
+list-format table was re-rendered from the new ``simulate`` table by the
+rule of ``list_table_text``, which gives the earlier fixture byte for byte
+from the earlier table; ``test_list_table_is_simulate_table_as_list``
+holds the fixture to that rule. Every other digest is unchanged.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import pytest
 
 from fischlin.cli import main
+from fischlin.oracle import ReprogramTable
+from fischlin.sigma import GroupParams, protocol_for_challenge_space
+from fischlin.transform import FischlinParams
 
 GROUP = ["--p", "1019", "--q", "509", "--g", "4"]
 KEYS = ["--instance", "inst.json"]
@@ -105,9 +120,9 @@ EXPECTED = {
     "extract-line-format": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
     "verify-record": "31f8298e2004e5001408f99b5356bdd5f53e1f7df6fe1cedd0f01315bcb635c1",
     "extract-no-pair": "4c7104c435b5ae045823f94cb1abab7c5b48b23aa564b247b9c0037b58980354",
-    "simulate": "eac323dab1d3824694be7ad7f52aa71909080cb7c344f78cb80a08cdcc32c994",
-    "verify-table": "40d91a23eb5bcc2780225745fbf11a167d00c845816eb9f64078242a713e32bf",
-    "verify-table-list": "40d91a23eb5bcc2780225745fbf11a167d00c845816eb9f64078242a713e32bf",
+    "simulate": "42a903f5b8589a63587dcb8550f39af1d5e5a363057019057bd7afd5d90e5b88",
+    "verify-table": "027a6702f015227c54414157dbd1a3caf129a833959d278deaf8ff401b1fd8e8",
+    "verify-table-list": "027a6702f015227c54414157dbd1a3caf129a833959d278deaf8ff401b1fd8e8",
     "bounds-point": "8a7e39d33dbb2816aba111968183056a0b0f55210fece39f4b1db39ccea89140",
     "bounds-point-vacuous": "b62fedef14c3f2c74731a79dd69f4b0e920605aa6b0da1eafdb27a6da8d79a90",
     "bounds-grid": "c879ccb70ff387085fa93ba425ecaef32404be8ed71e623c011ad9c6995aa525",
@@ -143,8 +158,25 @@ def run_steps(workdir) -> dict:
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return run_steps(tmp_path_factory.mktemp("golden"))
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def digests(workdir):
+    return run_steps(workdir)
+
+
+def list_table_text(table_path) -> str:
+    """The ``simulate`` step's grouped table in the earlier list format:
+    ``json.dumps`` with indent 2 of ``{"key": prefix || tail hex, "y"}``
+    records in programmed order."""
+    params = FischlinParams(k=4, l=3, N=40, T=40)
+    protocol = protocol_for_challenge_space(GroupParams(1019, 509, 4), params.N)
+    with open(table_path) as fh:
+        table = ReprogramTable.from_json(params, protocol, json.load(fh))
+    return json.dumps([{"key": (prefix + tail).hex(), "y": y}
+                       for (prefix, tail), y in table.overrides.items()], indent=2)
 
 
 def test_steps_pinned():
@@ -158,6 +190,11 @@ def test_output_unchanged(digests, step):
 
 def test_list_table_replays_like_grouped_table(digests):
     assert digests["verify-table-list"] == digests["verify-table"]
+
+
+def test_list_table_is_simulate_table_as_list(digests, workdir):
+    with open(LIST_TABLE) as fh:
+        assert fh.read() == list_table_text(workdir / "table.json")
 
 
 def test_line_transcript_extracts_like_grouped(digests):

@@ -1,11 +1,14 @@
 import math
 import random
+import statistics
 from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import ks_2samp
 
 from fischlin.oracle import OracleInput, RecordingOracle, ReprogramConflict, \
     _encode_prefix, derive_seed
@@ -13,9 +16,9 @@ from fischlin.sigma import Schnorr, SigmaInstance, keygen, \
     protocol_for_challenge_space
 from fischlin.simulator import (
     TildeFunction,
+    first_zero_challenge,
     hybrid_experiment,
     reprogramming_advantage,
-    sample_zero_challenge,
     simulate,
 )
 from fischlin.transform import Abort, FischlinParams, completeness_error, verify
@@ -108,10 +111,12 @@ class TestSimulate:
         z = next(zz for zz in range(509)
                  if proto.verify(inst, a_i, fresh_c, zz))
         before = len(oracle.table.overrides)
-        got = oracle.query(OracleInput(out.proof.a_vec, i, fresh_c, z))
+        inp = OracleInput(out.proof.a_vec, i, fresh_c, z)
+        got = oracle.query(inp)
         assert got == out.tilde(i, fresh_c)
         assert len(oracle.table.overrides) == before + 1
-        assert (i, fresh_c) in out.tilde.cells
+        prefix = _encode_prefix(PARAMS, proto, inp.a_vec)
+        assert oracle.table.overrides[(prefix, oracle.encode(inp)[len(prefix):])] == got
 
     def test_invalid_queries_pass_through(self, toy_group):
         inst = SigmaInstance(toy_group, 80)
@@ -133,77 +138,74 @@ class TestSimulate:
             oracle.reprogram(inp, 1)
 
 
-# Reference: the zero-cell sampler as it was when every candidate went
-# through ``TildeFunction.__call__`` and its cache.
+class RowHash:
+    """Stand-in for a tilde row's SHA-256 state: after ``u32 i`` and
+    ``u32 c`` it digests to all zero bytes when c is in ``zeros`` (a zero
+    cell at every l) and to all 0xff bytes otherwise."""
 
-def reference_sample_zero_challenge(tilde, i, n, rng, rejection_factor):
-    for _ in range(rejection_factor << tilde.l):
-        c = rng.randrange(n)
-        if tilde(i, c) == 0:
-            return c
-    zeros = [c for c in range(n) if tilde(i, c) == 0]
-    if not zeros:
-        raise Abort(f"repetition {i}: no zero cell among {n} challenges")
-    return zeros[rng.randrange(len(zeros))]
+    def __init__(self, zeros, data=b""):
+        self.zeros, self.data = zeros, data
+
+    def copy(self):
+        return RowHash(self.zeros, self.data)
+
+    def update(self, data):
+        self.data += data
+
+    def digest(self):
+        return bytes(32) if int.from_bytes(self.data[4:8], "big") in self.zeros \
+            else b"\xff" * 32
 
 
 class TestZeroCellSampling:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.binary(min_size=32, max_size=32), l=st.integers(1, 10),
-           n=st.integers(2, 6000), i=st.integers(1, 2 ** 20),
-           rng_seed=st.integers(0, 2 ** 64), factor=st.sampled_from([64, 1, 0]))
-    def test_matches_reference(self, seed, l, n, i, rng_seed, factor):
-        """The midstate sampler returns the reference's challenge, or both
-        abort, and leaves the rng in the same state."""
-        import fischlin.simulator as sim
-        results = []
-        for sample in (sample_zero_challenge,
-                       lambda *a: reference_sample_zero_challenge(*a, factor)):
-            rng = random.Random(rng_seed)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sim, "_REJECTION_FACTOR", factor)
-                try:
-                    got = sample(TildeFunction(seed, l), i, n, rng)
-                except Abort as exc:
-                    got = ("abort", str(exc))
-            results.append((got, rng.getstate()))
-        assert results[0] == results[1]
+           attempts=st.integers(1, 3000), i=st.integers(1, 2 ** 20))
+    def test_matches_reference(self, seed, l, attempts, i):
+        """The midstate scan returns the first zero cell of the row that
+        ``TildeFunction.__call__`` evaluates, or both abort alike."""
+        tilde = TildeFunction(seed, l)
+        want = next((c for c in range(attempts) if tilde(i, c) == 0), None)
+        if want is None:
+            with pytest.raises(Abort) as exc:
+                first_zero_challenge(tilde, i, attempts)
+            assert str(exc.value) == \
+                f"repetition {i}: no zero cell within {attempts} challenges"
+        else:
+            assert first_zero_challenge(tilde, i, attempts) == want
 
-
-    def test_uniform_over_zero_cells(self):
-        # fix one tilde row, sample 10^4 challenges, chi-square over the
-        # zero set
-        tilde = TildeFunction(b"\x01" * 32, 2)
-        n = 8
-        zeros = [c for c in range(n) if tilde(1, c) == 0]
-        assert len(zeros) >= 2, "pick a seed whose row has several zeros"
-        rng = random.Random(0)
-        counts = Counter(sample_zero_challenge(tilde, 1, n, rng)
-                         for _ in range(10_000))
-        assert set(counts) == set(zeros)
-        assert chisquare([counts[c] for c in zeros]).pvalue > 0.01
+    def test_law_is_truncated_geometric(self):
+        """Over every zero pattern of a row of n <= 4 cells, each cell zero
+        with probability p = 2^-l, the challenge law is exactly the
+        prover's: P(c) = (1 - p)^c p for c < T, and Abort with (1 - p)^T,
+        so the law given no abort is Geom(2^-l) truncated to [0, T)."""
+        for l, n in product((1, 2, 3), range(1, 5)):
+            p = Fraction(1, 2 ** l)
+            for attempts in range(1, n + 1):
+                law, aborted = Counter(), Fraction(0)
+                for row in product((False, True), repeat=n):
+                    weight = Fraction(1)
+                    for zero in row:
+                        weight *= p if zero else 1 - p
+                    tilde = TildeFunction(bytes(32), l)
+                    tilde._mid = RowHash({c for c in range(n) if row[c]})
+                    try:
+                        law[first_zero_challenge(tilde, 1, attempts)] += weight
+                    except Abort:
+                        aborted += weight
+                assert aborted == (1 - p) ** attempts
+                assert {c: w / (1 - aborted) for c, w in law.items()} == {
+                    c: (1 - p) ** c * p / (1 - (1 - p) ** attempts)
+                    for c in range(attempts)}
 
     def test_abort_when_row_has_no_zero(self):
         for seed in range(200):
             tilde = TildeFunction(bytes([seed]) * 32, 6)
             if all(tilde(1, c) != 0 for c in range(4)):
-                with pytest.raises(Abort):
-                    sample_zero_challenge(tilde, 1, 4, random.Random(1))
+                with pytest.raises(Abort, match="no zero cell within 4 challenges"):
+                    first_zero_challenge(tilde, 1, 4)
                 return
         pytest.fail("no zero-free row found in 200 seeds")
-
-    def test_scan_fallback_is_uniform(self, monkeypatch):
-        # force the rejection stage to zero attempts: the exhaustive-scan
-        # fallback must still be exactly uniform over the zero cells
-        import fischlin.simulator as sim
-        monkeypatch.setattr(sim, "_REJECTION_FACTOR", 0)
-        tilde = TildeFunction(b"\x01" * 32, 2)
-        zeros = [c for c in range(8) if tilde(1, c) == 0]
-        rng = random.Random(3)
-        counts = Counter(sample_zero_challenge(tilde, 1, 8, rng)
-                         for _ in range(5000))
-        assert set(counts) == set(zeros)
-        assert chisquare([counts[c] for c in zeros]).pvalue > 0.01
 
 
 class TestReprogrammingAdvantage:
@@ -258,6 +260,27 @@ class TestHybrids:
             except Abort:
                 continue
             assert s.verdict
+
+    def test_h0_and_h1_prime_challenges_agree(self, toy_group):
+        # H0 grinds each challenge on the oracle and H1' takes the first
+        # zero cell of its tilde row: at k=8, l=6, N=768 both follow
+        # Geom(2^-6) truncated to [0, 768), mean about 63
+        params = FischlinParams.explicit(8, 6, 4)
+        inst, wit = keygen(toy_group, random.Random(23))
+        challenges = {}
+        for mode in ("H0", "H1'"):
+            challenges[mode] = []
+            for seed in range(300):
+                proto, oracle = fresh(toy_group, 4000 + seed, params)
+                s = hybrid_experiment(params, proto, inst, wit, mode,
+                                      oracle, random.Random(seed))
+                assert s.verdict
+                challenges[mode] += s.proof.c_vec
+        h0, h1 = challenges["H0"], challenges["H1'"]
+        se = math.sqrt(statistics.variance(h0) / len(h0)
+                       + statistics.variance(h1) / len(h1))
+        assert abs(statistics.mean(h0) - statistics.mean(h1)) <= 3 * se
+        assert ks_2samp(h0, h1).pvalue > 0.01
 
     def test_h1_uniform_challenges_rarely_hash_to_zero(self, toy_group):
         # H1 draws challenges without conditioning, so its proofs verify

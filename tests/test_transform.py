@@ -351,8 +351,8 @@ class TestSerialization:
 
 
 class TestCommitmentFields:
-    """``deserialize_proof`` keeps the blob's commitment fields when each is
-    canonical, and ``verify`` then builds the oracle prefix from them."""
+    """``verify`` encodes a proof's commitment prefix once per oracle,
+    whether the blob holds each commitment canonically or not."""
 
     def blobs(self, toy_group):
         """(params, protocol, instance, proof, blob, the blob with a 00
@@ -367,27 +367,19 @@ class TestCommitmentFields:
             (inner + 1).to_bytes(2, "big") + b"\0" + blob[20:]
         return params, proto, inst, proof, blob, padded
 
-    def test_fields_kept_only_when_canonical(self, toy_group):
-        params, proto, _, proof, blob, padded = self.blobs(toy_group)
-        read = deserialize_proof(params, proto, blob)
-        assert read.a_fields == b"".join(
-            pack_field(proto.encode_commitment(a)) for a in proof.a_vec)
-        assert proof.a_fields is None and read == proof
-        padded_read = deserialize_proof(params, proto, padded)
-        assert padded_read.a_fields is None and padded_read == proof
-
     def test_verify_encodes_only_a_padded_vector(self, toy_group, monkeypatch):
-        params, proto, inst, _, blob, padded = self.blobs(toy_group)
+        params, proto, inst, proof, blob, padded = self.blobs(toy_group)
         calls = []
         encode_prefix = oracle_mod._encode_prefix
         monkeypatch.setattr(oracle_mod, "_encode_prefix",
                             lambda *a: calls.append(a) or encode_prefix(*a))
-        for data, encodes in ((blob, 0), (padded, 1)):
+        for data in (blob, padded):
+            assert deserialize_proof(params, proto, data) == proof
             calls.clear()
             for cls in (HashingOracle, RecordingOracle):
                 oracle = cls(params, proto, derive_seed(2))
                 assert verify(params, proto, inst, deserialize_proof(params, proto, data), oracle)
-            assert len(calls) == 2 * encodes
+            assert len(calls) == 2
 
 
 FUZZ_GROUP = GroupParams(1019, 509, 4)
