@@ -28,16 +28,23 @@ from . import lab as lab_mod
 from . import transform
 from .extractor import Status, extract
 from .oracle import HashingOracle, OracleTranscript, RecordingOracle, ReprogramTable, derive_seed
-from .sigma import GroupParams, SigmaInstance, SigmaWitness, keygen, \
+from .sigma import GroupParams, SigmaInstance, SigmaWitness, config_int, keygen, \
     protocol_for_challenge_space
 from .simulator import simulate
 
 
 def _load_json(path: str, what: str):
-    """The JSON value held in a file; ValueError if it nests too deeply."""
+    """The JSON value held in a file; ValueError if it nests too deeply or
+    holds a number that is not finite (Infinity, NaN or a float that
+    overflows)."""
+    def finite(text):
+        if not math.isfinite(value := float(text)):
+            raise ValueError(f"{what} file holds the non-finite number {text}")
+        return value
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
         except RecursionError:
             raise ValueError(f"{what} file nests too deeply") from None
 
@@ -48,14 +55,6 @@ def _load_object(path: str, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"{what} file must hold a JSON object")
     return obj
-
-
-def _int_field(obj: dict, name: str) -> int:
-    """``int(obj[name])``; ValueError when the value is null, a list or an object."""
-    try:
-        return int(obj[name])
-    except TypeError:
-        raise ValueError(f"{name!r} must be an integer or a decimal string") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -75,7 +74,7 @@ def _resolve_seed(args, config: dict) -> int:
     env = os.environ.get("FISCHLIN_SEED")
     if env is not None:
         return int(env, 0)
-    return _int_field(config, "seed") if "seed" in config else 0
+    return config_int(config["seed"], "seed") if "seed" in config else 0
 
 
 def _oracle_seed(config: dict, seed: int) -> bytes:
@@ -97,29 +96,33 @@ def _group_from(args, config: dict) -> GroupParams:
 
 
 def _params_from(args, config: dict) -> transform.FischlinParams:
-    cfg = dict(config.get("params", {}))
-    get = lambda name: getattr(args, name, None) if getattr(args, name, None) is not None \
-        else cfg.get(name)
-    lam = get("lam") or cfg.get("lambda")
+    cfg = config.get("params", {})
+
+    def get(name):
+        """The flag's value, else the config's: ints but for the float c."""
+        if getattr(args, name, None) is not None:
+            return getattr(args, name)
+        value = cfg.get(name)
+        return value if value is None or name == "c" else config_int(value, name)
+
+    lam = get("lam") or get("lambda")
     k, l, c, n, t = get("k"), get("l"), get("c"), get("n"), get("t")
     if lam is not None:
         if l is None:
             raise ValueError("--lambda needs --l")
-        return transform.FischlinParams.from_security(int(lam), int(l))
+        return transform.FischlinParams.from_security(lam, l)
     if k is None or l is None:
         raise ValueError("pass --k and --l (with --c or --n), or --lambda and --l")
     if c is not None:
-        return transform.FischlinParams.explicit(int(k), int(l), float(c))
+        return transform.FischlinParams.explicit(k, l, float(c))
     if n is not None:
-        n = int(n)
-        return transform.FischlinParams(k=int(k), l=int(l), N=n,
-                                        T=int(t) if t is not None else n)
+        return transform.FischlinParams(k=k, l=l, N=n, T=t if t is not None else n)
     raise ValueError("pass --c or --n to size the challenge space")
 
 
 def _load_instance(path: str) -> SigmaInstance:
     obj = _load_object(path, "instance")
-    return SigmaInstance(GroupParams.from_config(obj), _int_field(obj, "x"))
+    return SigmaInstance(GroupParams.from_config(obj), config_int(obj["x"], "x"))
 
 
 def _emit(args, obj):
@@ -147,7 +150,7 @@ def cmd_keygen(args) -> int:
 def cmd_prove(args) -> int:
     config = _load_config(args.config)
     instance = _load_instance(args.instance)
-    witness = SigmaWitness(_int_field(_load_object(args.witness, "witness"), "w"))
+    witness = SigmaWitness(config_int(_load_object(args.witness, "witness")["w"], "w"))
     params = _params_from(args, config)
     protocol = protocol_for_challenge_space(instance.group, params.N)
     seed = _resolve_seed(args, config)

@@ -30,7 +30,23 @@ __all__ = [
     "protocol_for_challenge_space",
     "encode_int",
     "decode_int",
+    "config_int",
 ]
+
+
+def config_int(value, name: str) -> int:
+    """An integer field of an input file: an int (not a bool) or a decimal
+    string. Anything else, a float, a bool, null, a list or an object,
+    raises ValueError."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name!r} must be an integer or a decimal string")
+
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -130,12 +146,9 @@ class GroupParams:
 
     @classmethod
     def from_config(cls, obj: dict) -> "GroupParams":
-        """Config fields p, q, g are decimal strings (or ints); any other
-        shape raises ValueError (KeyError for a missing field)."""
-        try:
-            return cls(int(obj["p"]), int(obj["q"]), int(obj["g"]))
-        except TypeError:
-            raise ValueError("group fields p, q and g must be integers") from None
+        """Config fields p, q, g are read by ``config_int`` (KeyError for a
+        missing field)."""
+        return cls(*(config_int(obj[name], name) for name in "pqg"))
 
     def to_config(self) -> dict:
         return {"p": str(self.p), "q": str(self.q), "g": str(self.g)}

@@ -1,9 +1,10 @@
 """Zero-knowledge simulation by oracle reprogramming.
 
 The simulator never sees the witness. It samples a private random function
-tilde over [k] x [0, N) (evaluated lazily through a second seeded hash),
-takes each proof challenge by the honest prover's rule, the first c in
-0, 1, ..., T - 1 whose tilde cell is zero, builds the per-repetition
+tilde over [k] x [0, N) (evaluated lazily through a second seeded hash,
+256 // l cells per SHA-256 block), takes each proof challenge by the
+honest prover's rule, the first c in 0, 1, ..., T - 1 whose tilde cell is
+zero, builds the per-repetition
 transcripts with the sigma simulator, and answers any sigma-valid oracle
 query prefixed by its commitment vector with the corresponding tilde cell,
 leaving all other queries untouched. So a simulated challenge has the
@@ -26,7 +27,7 @@ import struct
 from dataclasses import dataclass
 
 from . import transform
-from .oracle import OracleInput, ro_eval, zero_bound
+from .oracle import OracleInput
 
 __all__ = [
     "TildeFunction",
@@ -39,35 +40,55 @@ __all__ = [
 ]
 
 class TildeFunction:
-    """Lazily evaluated random map (i, c) -> l-bit value.
+    """Lazily evaluated random map (i, c) -> l-bit value, read in blocks.
 
-    ``_mid`` is the SHA-256 state after absorbing the hash seed, from which
-    ``first_zero_challenge`` hashes a row's cells without building inputs."""
+    Block b of row i is SHA-256("fischlin-tilde" || seed || u32 i || u32 b)
+    as a big-endian integer. It holds ``per_block = 256 // l`` cells: cell c
+    is the (c mod per_block)-th l-bit field, counted from the low end, of
+    block c // per_block, and the bits above per_block * l are unused. So
+    the cells are iid uniform l-bit values, and one hash gives per_block of
+    them. ``ones`` has a 1 at the bottom of each field and ``highs`` at its
+    top, for ``first_zero_challenge``'s zero-field test."""
 
     def __init__(self, seed: bytes, l: int):
         self.seed = seed
         self.l = l
-        self._hash_seed = b"fischlin-tilde" + seed
-        self._mid = hashlib.sha256(self._hash_seed)
+        self.per_block = 256 // l
+        self.mask = (1 << l) - 1
+        self.ones = ((1 << self.per_block * l) - 1) // self.mask
+        self.highs = self.ones << (l - 1)
+        self._mid = hashlib.sha256(b"fischlin-tilde" + seed)
+
+    def block(self, i: int, b: int) -> int:
+        """Block b of row i, the only place the cells are hashed."""
+        h = self._mid.copy()
+        h.update(struct.pack(">II", i, b))
+        return int.from_bytes(h.digest(), "big")
 
     def __call__(self, i: int, c: int) -> int:
-        return ro_eval(self._hash_seed, struct.pack(">II", i, c), self.l)
+        b, j = divmod(c, self.per_block)
+        return self.block(i, b) >> (j * self.l) & self.mask
 
 
 def first_zero_challenge(tilde: TildeFunction, i: int, attempts: int) -> int:
     """The first c < attempts with ``tilde(i, c) == 0``, or Abort: the
     prover's grinding rule, run on row i of the tilde function.
 
-    Each cell is hashed from a copy of the row's SHA-256 state, and it is
-    zero when its digest is below ``zero_bound(l)``."""
-    row = tilde._mid.copy()
-    row.update(struct.pack(">I", i))
-    zero_below = zero_bound(tilde.l)
-    for c in range(attempts):
-        h = row.copy()
-        h.update(c.to_bytes(4, "big"))
-        if h.digest() < zero_below:
-            return c
+    The row is hashed one block x at a time. The lowest set bit of
+    ``t = (x - ones) & ~x & highs`` is the top bit of x's lowest zero
+    field, since a field passes a borrow up only when it is zero; fields
+    above that one may be flagged falsely, so only that bit is read. A
+    zero past ``attempts`` in the last block aborts, as the prover's
+    search would."""
+    per, l, ones, highs = tilde.per_block, tilde.l, tilde.ones, tilde.highs
+    for b in range(-(-attempts // per)):
+        x = tilde.block(i, b)
+        t = (x - ones) & ~x & highs
+        if t:
+            c = b * per + (t & -t).bit_length() // l - 1
+            if c < attempts:
+                return c
+            break
     raise transform.Abort(f"repetition {i}: no zero cell within {attempts} challenges")
 
 

@@ -321,6 +321,49 @@ class TestProveVerifyPipeline:
         code, _, err = run(capsys, *argv, flag, str(bad))
         assert code == 2 and "error" in err
 
+    # A field that must hold an integer holds a number that is not finite
+    # (1e999 overflows a float; Infinity and NaN are not JSON numbers) or
+    # not an integer (a fraction, a bool, an integral float). The field
+    # sits in the config, instance or witness file of a prove run; "@"
+    # marks where the number's JSON text goes.
+    @pytest.mark.parametrize("flag,fields,number", [
+        ("--config", {"seed": "@"}, "1e999"),
+        ("--config", {"seed": "@"}, "true"),
+        ("--config", {"params": {"k": "@", "l": 2, "n": 16}}, "1e999"),
+        ("--config", {"params": {"k": "@", "l": 2, "n": 16}}, "2.0"),
+        ("--config", {"params": {"k": 2, "l": 2, "n": "@"}}, "1e999"),
+        ("--config", {"params": {"k": 2, "l": 2, "n": 16, "t": "@"}}, "true"),
+        ("--config", {"params": {"lambda": "@", "l": 2}}, "1e999"),
+        ("--config", {"params": {"lambda": "@", "l": 2}}, "16.5"),
+        ("--config", {"params": {"k": 2, "l": 2, "c": "@"}}, "NaN"),
+        ("--instance", {"x": "@"}, "1e999"),
+        ("--instance", {"p": "@"}, "1e999"),
+        ("--instance", {"p": "@"}, "1019.0"),
+        ("--instance", {"x": "@"}, "-Infinity"),
+        ("--witness", {"w": "@"}, "1e999"),
+        ("--witness", {"w": "@"}, "3.7"),
+        ("--witness", {"w": "@"}, "true"),
+    ], ids=["config-seed-inf", "config-seed-bool", "config-k-inf", "config-k-float",
+            "config-n-inf", "config-t-bool", "config-lambda-inf", "config-lambda-float",
+            "config-c-nan", "instance-x-inf", "instance-p-inf", "instance-p-float",
+            "instance-x-minus-infinity", "witness-w-inf", "witness-w-fraction",
+            "witness-w-bool"])
+    def test_non_integer_number_exits_2(self, tmp_path, capsys, keypair, flag, fields,
+                                        number):
+        inst, wit = keypair
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"params": {"k": 2, "l": 2, "n": 16}}))
+        files = {"--instance": inst, "--witness": wit, "--config": cfg}
+        bad = tmp_path / "bad.json"
+        good = json.loads(files[flag].read_text())
+        bad.write_text(json.dumps({**good, **fields}).replace('"@"', number))
+        files[flag] = bad
+        code, out, err = run(capsys, "prove", *(a for f, path in files.items()
+                                                 for a in (f, str(path))),
+                             "--out", str(tmp_path / "proof.bin"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_three_part_response_in_transcript_exits_2(self, tmp_path, capsys, keypair):
         # N = 600: the two-copy protocol, whose responses pack two elements
         inst, wit = keypair
@@ -392,11 +435,13 @@ class TestProveVerifyPipeline:
         assert code == 2 and out == ""
         assert err == "error: --lambda needs --l\n"
 
-    # One attempt per repetition at l = 8 (the prover), or two challenges
-    # at l = 8 (the simulator), aborts on each of these seeds.
+    # The prover with one attempt per repetition at l = 8, or the simulator
+    # with two challenges at l = 16, finishes only if each of 4 rows finds
+    # a zero, with probability 2^-32 or less on any seed, however the
+    # oracle or the simulator's tilde cells are derived.
     @pytest.mark.parametrize("command,argv,what", [
         ("prove", ["--k", "4", "--l", "8", "--n", "16", "--t", "1"], "prover"),
-        ("simulate", ["--k", "1", "--l", "8", "--n", "2"], "simulator"),
+        ("simulate", ["--k", "4", "--l", "16", "--n", "2"], "simulator"),
     ])
     def test_abort_exits_1(self, tmp_path, capsys, keypair, command, argv, what):
         inst, wit = keypair

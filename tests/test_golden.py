@@ -39,6 +39,13 @@ list-format table was re-rendered from the new ``simulate`` table by the
 rule of ``list_table_text``, which gives the earlier fixture byte for byte
 from the earlier table; ``test_list_table_is_simulate_table_as_list``
 holds the fixture to that rule. Every other digest is unchanged.
+
+The same three changed once more, with the fixture re-rendered by the same
+rule: the simulator's tilde cells are read 256 // l to a SHA-256 block
+instead of one cell per hash. The cells, and so the challenge law, are
+distributed as before, but a given seed draws other cells, so the
+step's proof, table and stdout differ, and so does the replayed
+transcript. Every other digest is unchanged.
 """
 
 import contextlib
@@ -120,9 +127,9 @@ EXPECTED = {
     "extract-line-format": "36acc8e8a3f1d879278dc888301bf758cdf86ec678e1c349fba2bc0968061b4c",
     "verify-record": "31f8298e2004e5001408f99b5356bdd5f53e1f7df6fe1cedd0f01315bcb635c1",
     "extract-no-pair": "4c7104c435b5ae045823f94cb1abab7c5b48b23aa564b247b9c0037b58980354",
-    "simulate": "42a903f5b8589a63587dcb8550f39af1d5e5a363057019057bd7afd5d90e5b88",
-    "verify-table": "027a6702f015227c54414157dbd1a3caf129a833959d278deaf8ff401b1fd8e8",
-    "verify-table-list": "027a6702f015227c54414157dbd1a3caf129a833959d278deaf8ff401b1fd8e8",
+    "simulate": "923ef92676b11d0d58db0b0a4c0484e82e6e21f2854d46eee5925bb33c9fffe3",
+    "verify-table": "509ffdea89de398490bf056305267f81397670a660509c276d3442c6413726b8",
+    "verify-table-list": "509ffdea89de398490bf056305267f81397670a660509c276d3442c6413726b8",
     "bounds-point": "8a7e39d33dbb2816aba111968183056a0b0f55210fece39f4b1db39ccea89140",
     "bounds-point-vacuous": "b62fedef14c3f2c74731a79dd69f4b0e920605aa6b0da1eafdb27a6da8d79a90",
     "bounds-grid": "c879ccb70ff387085fa93ba425ecaef32404be8ed71e623c011ad9c6995aa525",

@@ -1,14 +1,16 @@
+import hashlib
 import math
 import random
 import statistics
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import chisquare, ks_2samp
 
 from fischlin.oracle import OracleInput, RecordingOracle, ReprogramConflict, \
     _encode_prefix, derive_seed
@@ -58,6 +60,22 @@ class TestSimulate:
         p = (1 - 2.0 ** -4) ** 8
         sigma = (runs * p * (1 - p)) ** 0.5
         assert abs(aborts - runs * p) <= 3 * sigma
+
+    def test_challenge_law_at_benchmark_size(self, toy_group):
+        """One simulated proof at k=1024, l=8, c=2 (N = T = 5120) per seed:
+        its 1024 challenges against Geom(2^-8) truncated to [0, T), over 16
+        bins of about equal mass, give a chi-square p above 0.001."""
+        params = FischlinParams.explicit(1024, 8, 2)
+        q = 1 - Fraction(1, 2 ** 8)
+        edges = [0, *(math.ceil(math.log(1 - j / 16) / math.log(q)) for j in range(1, 16)),
+                 params.T]
+        mass = [(q ** a - q ** b) / (1 - q ** params.T) for a, b in zip(edges, edges[1:])]
+        inst = SigmaInstance(toy_group, 80)
+        for seed in (1, 2, 3):
+            proto, oracle = fresh(toy_group, seed, params)
+            c_vec = simulate(params, proto, inst, oracle, random.Random(seed)).proof.c_vec
+            seen = [sum(a <= c < b for c in c_vec) for a, b in zip(edges, edges[1:])]
+            assert chisquare(seen, [float(m * params.k) for m in mass]).pvalue > 0.001
 
     def test_programming_touches_only_valid_prefixed_points(self, toy_group):
         inst = SigmaInstance(toy_group, 80)
@@ -138,57 +156,138 @@ class TestSimulate:
             oracle.reprogram(inp, 1)
 
 
-class RowHash:
-    """Stand-in for a tilde row's SHA-256 state: after ``u32 i`` and
-    ``u32 c`` it digests to all zero bytes when c is in ``zeros`` (a zero
-    cell at every l) and to all 0xff bytes otherwise."""
+def stub_blocks(tilde, cells, tops=()):
+    """Make every row of ``tilde`` read its blocks from ``cells``: block b
+    holds ``cells[b * per:(b + 1) * per]`` (per = 256 // l) in its l-bit
+    fields, zeros in any fields past the list, and ``tops[b]`` (default 0)
+    in the unused bits above its fields. A block past the cells raises
+    IndexError. Returns the list of block indices read, in order."""
+    per, l = tilde.per_block, tilde.l
+    rows = [cells[start:start + per] for start in range(0, len(cells), per)]
+    tops = [*tops, *[0] * (len(rows) - len(tops))]
+    blocks = [sum(v << (j * l) for j, v in enumerate(row)) | top << (per * l)
+              for row, top in zip(rows, tops)]
+    reads = []
 
-    def __init__(self, zeros, data=b""):
-        self.zeros, self.data = zeros, data
+    def block(i, b):
+        reads.append(b)
+        return blocks[b]
+
+    tilde.block = block
+    return reads
+
+
+def weighted_rows(l, n):
+    """Every row of n cells of l bits with its probability: at l <= 2 every
+    assignment of values; above, every zero pattern, the nonzero cells
+    holding 2^l - 1, 2^l - 2, ... in turn."""
+    p = Fraction(1, 2 ** l)
+    if l <= 2:
+        for cells in product(range(2 ** l), repeat=n):
+            yield cells, p ** n
+        return
+    for zeros in product((False, True), repeat=n):
+        weight = Fraction(1)
+        for zero in zeros:
+            weight *= p if zero else 1 - p
+        yield [0 if zero else 2 ** l - 1 - c for c, zero in enumerate(zeros)], weight
+
+
+class CountedHash:
+    """A SHA-256 object that appends to ``log`` on each digest."""
+
+    def __init__(self, h, log):
+        self.h, self.log = h, log
 
     def copy(self):
-        return RowHash(self.zeros, self.data)
+        return CountedHash(self.h.copy(), self.log)
 
     def update(self, data):
-        self.data += data
+        self.h.update(data)
 
     def digest(self):
-        return bytes(32) if int.from_bytes(self.data[4:8], "big") in self.zeros \
-            else b"\xff" * 32
+        self.log.append(1)
+        return self.h.digest()
 
 
 class TestZeroCellSampling:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.binary(min_size=32, max_size=32), l=st.integers(1, 10),
-           attempts=st.integers(1, 3000), i=st.integers(1, 2 ** 20))
-    def test_matches_reference(self, seed, l, attempts, i):
-        """The midstate scan returns the first zero cell of the row that
-        ``TildeFunction.__call__`` evaluates, or both abort alike."""
-        tilde = TildeFunction(seed, l)
-        want = next((c for c in range(attempts) if tilde(i, c) == 0), None)
+    @settings(max_examples=300, deadline=None)
+    @given(l=st.integers(1, 64), attempts=st.integers(1, 1200),
+           zeros=st.sets(st.integers(0, 1300), max_size=3),
+           top=st.integers(0, 2 ** 255), seed=st.integers(0, 2 ** 32))
+    # l = 3: 85 cells and one unused bit, 0, per block; T = 100 ends in
+    # block 1, which holds a zero just past it
+    @example(l=3, attempts=100, zeros={100}, top=0, seed=0)
+    # l = 9: 28 cells and four unused bits, 0, per block; the zero is the
+    # last cell below T = 30, in block 1
+    @example(l=9, attempts=30, zeros={29}, top=0, seed=1)
+    # l = 64: no unused bits; the first zero is cell 0 of block 2
+    @example(l=64, attempts=9, zeros={8}, top=0, seed=2)
+    def test_matches_reference(self, l, attempts, zeros, top, seed):
+        """On a row whose cells are random nonzero values but for
+        ``zeros`` (taken modulo the row's length), with the unused bits of each block set from ``top``, the
+        block scan returns the first zero cell below ``attempts`` that
+        ``TildeFunction.__call__`` reads, or aborts with the same message
+        when there is none. It reads blocks 0, 1, ... in turn and no block
+        past the one holding the answer."""
+        rnd = random.Random(seed)
+        tilde = TildeFunction(bytes(32), l)
+        per = tilde.per_block
+        blocks = -(-attempts // per)
+        zeros = {z % (blocks * per) for z in zeros}
+        cells = [0 if c in zeros else rnd.randint(1, 2 ** l - 1)
+                 for c in range(blocks * per)]
+        reads = stub_blocks(tilde, cells, [top % (1 << 256 - per * l)] * blocks)
+        assert [tilde(1, c) for c in range(len(cells))] == cells
+        reads.clear()
+        want = next((c for c in range(attempts) if cells[c] == 0), None)
         if want is None:
             with pytest.raises(Abort) as exc:
-                first_zero_challenge(tilde, i, attempts)
+                first_zero_challenge(tilde, 1, attempts)
             assert str(exc.value) == \
-                f"repetition {i}: no zero cell within {attempts} challenges"
+                f"repetition 1: no zero cell within {attempts} challenges"
+            assert reads == list(range(blocks))
         else:
-            assert first_zero_challenge(tilde, i, attempts) == want
+            assert first_zero_challenge(tilde, 1, attempts) == want
+            assert reads == list(range(want // per + 1))
+
+    def test_block_is_the_specified_hash(self):
+        """Block b of row i is SHA-256("fischlin-tilde" || seed || u32 i ||
+        u32 b), big-endian, and cell c is its (c mod 256 // l)-th l-bit
+        field from the low end; the scan agrees with those cells."""
+        for l in (1, 3, 8, 13, 64):
+            seed = bytes([l]) * 32
+            tilde = TildeFunction(seed, l)
+            per = 256 // l
+            for i, b in ((1, 0), (2, 1), (2 ** 20, 7)):
+                x = int.from_bytes(hashlib.sha256(
+                    b"fischlin-tilde" + seed + struct.pack(">II", i, b)).digest(), "big")
+                assert tilde.block(i, b) == x
+                assert [tilde(i, b * per + j) for j in range(per)] == \
+                    [x >> (j * l) & (2 ** l - 1) for j in range(per)]
+            attempts = 3 * per + per // 2
+            for i in range(1, 6):
+                want = next((c for c in range(attempts) if tilde(i, c) == 0), None)
+                if want is None:
+                    with pytest.raises(Abort):
+                        first_zero_challenge(tilde, i, attempts)
+                else:
+                    assert first_zero_challenge(tilde, i, attempts) == want
 
     def test_law_is_truncated_geometric(self):
-        """Over every zero pattern of a row of n <= 4 cells, each cell zero
-        with probability p = 2^-l, the challenge law is exactly the
-        prover's: P(c) = (1 - p)^c p for c < T, and Abort with (1 - p)^T,
-        so the law given no abort is Geom(2^-l) truncated to [0, T)."""
+        """Over every row of n <= 4 cells (every value at l = 1 and 2,
+        every zero pattern at l = 3; see ``weighted_rows``), the rest of
+        the block zero, the challenge law is exactly the prover's:
+        P(c) = (1 - p)^c p for c < T and Abort with (1 - p)^T, where
+        p = 2^-l, so the law given no abort is Geom(2^-l) truncated to
+        [0, T)."""
         for l, n in product((1, 2, 3), range(1, 5)):
             p = Fraction(1, 2 ** l)
             for attempts in range(1, n + 1):
                 law, aborted = Counter(), Fraction(0)
-                for row in product((False, True), repeat=n):
-                    weight = Fraction(1)
-                    for zero in row:
-                        weight *= p if zero else 1 - p
+                for cells, weight in weighted_rows(l, n):
                     tilde = TildeFunction(bytes(32), l)
-                    tilde._mid = RowHash({c for c in range(n) if row[c]})
+                    stub_blocks(tilde, cells)
                     try:
                         law[first_zero_challenge(tilde, 1, attempts)] += weight
                     except Abort:
@@ -197,6 +296,25 @@ class TestZeroCellSampling:
                 assert {c: w / (1 - aborted) for c, w in law.items()} == {
                     c: (1 - p) ** c * p / (1 - (1 - p) ** attempts)
                     for c in range(attempts)}
+
+    def test_one_hash_per_block(self, monkeypatch):
+        """Returning c takes at most ceil((c + 1) / (256 // l)) SHA-256
+        digests, and an abort at most ceil(T / (256 // l)): one per block
+        of cells, where one per cell would take c + 1 and T."""
+        log, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda *a, **kw: CountedHash(sha256(*a, **kw), log))
+        for l in (1, 2, 3, 5, 8, 12, 64):
+            per, attempts = 256 // l, min(2 ** (l + 2), 4096)
+            tilde = TildeFunction(bytes([l]) * 32, l)
+            for i in range(1, 21):
+                log.clear()
+                try:
+                    c = first_zero_challenge(tilde, i, attempts)
+                except Abort:
+                    assert len(log) <= -(-attempts // per)
+                else:
+                    assert len(log) <= -(-(c + 1) // per)
 
     def test_abort_when_row_has_no_zero(self):
         for seed in range(200):
@@ -261,26 +379,37 @@ class TestHybrids:
                 continue
             assert s.verdict
 
+    @staticmethod
+    def assert_challenges_agree(toy_group, mode):
+        """300 proofs each of H0 and ``mode`` at k=8, l=6, N=768: their
+        challenges have means within 3 combined standard errors and a
+        two-sample KS p above 0.01."""
+        params = FischlinParams.explicit(8, 6, 4)
+        inst, wit = keygen(toy_group, random.Random(23))
+        challenges = {}
+        for m in ("H0", mode):
+            challenges[m] = []
+            for seed in range(300):
+                proto, oracle = fresh(toy_group, 4000 + seed, params)
+                s = hybrid_experiment(params, proto, inst, wit, m,
+                                      oracle, random.Random(seed))
+                assert s.verdict
+                challenges[m] += s.proof.c_vec
+        h0, other = challenges["H0"], challenges[mode]
+        se = math.sqrt(statistics.variance(h0) / len(h0)
+                       + statistics.variance(other) / len(other))
+        assert abs(statistics.mean(h0) - statistics.mean(other)) <= 3 * se
+        assert ks_2samp(h0, other).pvalue > 0.01
+
     def test_h0_and_h1_prime_challenges_agree(self, toy_group):
         # H0 grinds each challenge on the oracle and H1' takes the first
         # zero cell of its tilde row: at k=8, l=6, N=768 both follow
         # Geom(2^-6) truncated to [0, 768), mean about 63
-        params = FischlinParams.explicit(8, 6, 4)
-        inst, wit = keygen(toy_group, random.Random(23))
-        challenges = {}
-        for mode in ("H0", "H1'"):
-            challenges[mode] = []
-            for seed in range(300):
-                proto, oracle = fresh(toy_group, 4000 + seed, params)
-                s = hybrid_experiment(params, proto, inst, wit, mode,
-                                      oracle, random.Random(seed))
-                assert s.verdict
-                challenges[mode] += s.proof.c_vec
-        h0, h1 = challenges["H0"], challenges["H1'"]
-        se = math.sqrt(statistics.variance(h0) / len(h0)
-                       + statistics.variance(h1) / len(h1))
-        assert abs(statistics.mean(h0) - statistics.mean(h1)) <= 3 * se
-        assert ks_2samp(h0, h1).pvalue > 0.01
+        self.assert_challenges_agree(toy_group, "H1'")
+
+    def test_h0_and_h2_challenges_agree(self, toy_group):
+        # H2 is the simulator's code path, with simulated responses
+        self.assert_challenges_agree(toy_group, "H2")
 
     def test_h1_uniform_challenges_rarely_hash_to_zero(self, toy_group):
         # H1 draws challenges without conditioning, so its proofs verify
