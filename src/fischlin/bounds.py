@@ -17,14 +17,19 @@ eps / (1 - eps) and eps_ex = 4 * (q + k)^2 * eps_det.
 
 The mu_lower log term uses the conservative sign
 -gamma * |log2(log2 k / (4 gamma))|, which only ever shrinks the reported
-guarantee.
+guarantee. A point whose N rounds to 0 is rejected with ValueError.
+
+``BoundParams`` and ``BoundReport`` are immutable named tuples.
+``report_csv_rows`` takes a sweep's CSV rows straight from their tuples,
+and ``csv_text`` writes them as ``str`` of each cell joined by commas,
+with CRLF line ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .transform import FischlinParams
 
@@ -43,16 +48,19 @@ __all__ = [
     "lift_to_general",
     "sweep",
     "report_csv_rows",
+    "csv_text",
 ]
 
 _LN2 = math.log(2.0)
+_LN3 = math.log(3.0)
+_LN7 = math.log(7.0)
 
 
-def _logsumexp(terms) -> float:
+def _logsumexp(terms: list) -> float:
     top = max(terms)
     if top == -math.inf:
         return -math.inf
-    return top + math.log(sum(math.exp(t - top) for t in terms))
+    return top + math.log(sum([math.exp(t - top) for t in terms]))
 
 
 def _exp(logv: float) -> float:
@@ -64,7 +72,8 @@ def _exp(logv: float) -> float:
 
 
 def _clamp(v: float) -> float:
-    return min(v, 1.0)
+    """min(v, 1.0) without the call: NaN passes through, as it does there."""
+    return 1.0 if v > 1.0 else v
 
 
 def chernoff_upper_log(mu: float, delta: float) -> float:
@@ -102,8 +111,9 @@ def eval_mu_lower(k: int, l: int, N: int, gamma: float) -> float:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     log_term = abs(math.log2(math.log2(k) / (4.0 * gamma)))
-    bracket = N - 1.0 - gamma * (1.0 + 4.0 * 2.0 ** l + log_term) \
-        - 4.0 * math.sqrt(2.0 ** l * gamma * N)
+    two_l = 2.0 ** l
+    bracket = N - 1.0 - gamma * (1.0 + 4.0 * two_l + log_term) \
+        - 4.0 * math.sqrt(two_l * gamma * N)
     return 2.0 ** -l * k * bracket
 
 
@@ -125,8 +135,7 @@ def corollary_constraints(k: int, l: int, c_rate: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     """Inputs and the derived quantities of the chain."""
 
     k: int
@@ -145,8 +154,7 @@ class BoundParams:
     n_prime: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every intermediate probability of the chain, in log and linear form."""
 
     params: BoundParams
@@ -171,19 +179,18 @@ class BoundReport:
     applicable: bool
     vacuous: bool
     constraints_ok: dict
-    warnings: list = field(default_factory=list)
+    warnings: list
 
     def to_json(self) -> dict:
         """Every field in declaration order, the parameters first; the rate
         is keyed ``c`` and the intermediate ``n_w`` is left out."""
-        return dict(zip(_JSON_KEYS, _param_values(self.params) + _report_values(self)))
+        return dict(zip(_JSON_KEYS, _param_values(self.params) + self[1:]))
 
 
-_PARAM_FIELDS = [f.name for f in fields(BoundParams) if f.name != "n_w"]
-_REPORT_FIELDS = [f.name for f in fields(BoundReport) if f.name != "params"]
+_PARAM_FIELDS = [f for f in BoundParams._fields if f != "n_w"]
+_REPORT_FIELDS = list(BoundReport._fields[1:])
 _JSON_KEYS = ["c" if f == "c_rate" else f for f in _PARAM_FIELDS] + _REPORT_FIELDS
-_param_values = attrgetter(*_PARAM_FIELDS)
-_report_values = attrgetter(*_REPORT_FIELDS)
+_param_values = itemgetter(*map(BoundParams._fields.index, _PARAM_FIELDS))
 
 
 def eval_closed_form(k: int, l: int, c_rate: float, log: bool = False) -> float:
@@ -191,9 +198,10 @@ def eval_closed_form(k: int, l: int, c_rate: float, log: bool = False) -> float:
     7 exp(-k / (8 * 2^l))."""
     if k < 2:
         raise ValueError("k must be at least 2")
+    two_l = 2.0 ** l
     logv = _logsumexp([
-        math.log(3.0) - k / (128.0 * c_rate * 2.0 ** l * math.log2(k)),
-        math.log(7.0) - k / (8.0 * 2.0 ** l),
+        _LN3 - k / (128.0 * c_rate * two_l * math.log2(k)),
+        _LN7 - k / (8.0 * two_l),
     ])
     return logv if log else _exp(logv)
 
@@ -209,13 +217,17 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
     if math.log2(q + k) >= 512:
         raise ValueError("q + k must be below 2^512")
     constraints = corollary_constraints(k, l, c_rate)  # also checks c and float range
-    warnings = []
-    gamma = 4.0 * 2.0 ** -l
     n = round(c_rate * 2.0 ** l * math.log2(k))
-    mu = 2.0 ** -l * k * n
+    if n < 1:
+        raise ValueError(f"N = round(c * 2^l * log2 k) is 0 at c = {c_rate!r}, "
+                         f"l = {l}, k = {k}: need N >= 1")
+    warnings = []
+    two_neg_l = 2.0 ** -l
+    gamma = 4.0 * two_neg_l
+    mu = two_neg_l * k * n
     m = float(k) * (n - 1)
     mu_lower = eval_mu_lower(k, l, n, gamma)
-    delta = ((1.0 - 8.0 * 2.0 ** -l) * k - (mu - mu_lower)) / (2.0 * mu)
+    delta = ((1.0 - 8.0 * two_neg_l) * k - (mu - mu_lower)) / (2.0 * mu)
     applicable = delta > 0.0 and mu_lower > 0.0
     delta_prime = delta * mu / mu_lower if mu_lower > 0 else math.nan
     eta = (1.0 + delta) * mu
@@ -234,11 +246,7 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
     log_eg_k = eval_eps_gamma(gamma, l, float(k), log=True)
     log_eg_1mgk = eval_eps_gamma(gamma, l, (1.0 - gamma) * k, log=True)
 
-    log_eps = _logsumexp([
-        log_e_dp,
-        math.log(2.0) + 0.5 * log_e_p,
-        math.log(7.0) + 0.25 * log_eg_1mgk,
-    ])
+    log_eps = _logsumexp([log_e_dp, _LN2 + 0.5 * log_e_p, _LN7 + 0.25 * log_eg_1mgk])
     eps = _exp(log_eps)
     vacuous = log_eps >= 0.0
     if vacuous:
@@ -251,33 +259,16 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
     eps_ex_raw = lift_to_general(eps_det, q, k) if not vacuous else math.inf
     log_cf = eval_closed_form(k, l, c_rate, log=True)
 
+    # positional: a NamedTuple takes keywords at about twice the cost
     params = BoundParams(k, l, c_rate, q, gamma, n, mu, m, mu_lower,
                          delta, delta_prime, eta, n_w, n_prime)
     return BoundReport(
-        params=params,
-        log_eps_dprime=log_e_dp,
-        log_eps_prime=log_e_p,
-        log_eps_prime_alt=log_e_p_alt,
-        log_eps_gamma_k=log_eg_k,
-        log_eps_gamma_1mgk=log_eg_1mgk,
-        log_eps=log_eps,
-        log_closed_form=log_cf,
-        eps_dprime=_clamp(_exp(log_e_dp)),
-        eps_prime=_clamp(_exp(log_e_p)),
-        eps_prime_alt=_clamp(_exp(log_e_p_alt)),
-        eps_gamma_k=_clamp(_exp(log_eg_k)),
-        eps_gamma_1mgk=_clamp(_exp(log_eg_1mgk)),
-        eps=_clamp(eps),
-        eps_det=eps_det if vacuous else _clamp(eps_det),
-        eps_det_raw=eps_det,
-        closed_form=_clamp(_exp(log_cf)),
-        eps_ex_raw=eps_ex_raw,
-        eps_ex=_clamp(eps_ex_raw),
-        applicable=applicable,
-        vacuous=vacuous,
-        constraints_ok=constraints,
-        warnings=warnings,
-    )
+        params, log_e_dp, log_e_p, log_e_p_alt, log_eg_k, log_eg_1mgk, log_eps, log_cf,
+        _clamp(_exp(log_e_dp)), _clamp(_exp(log_e_p)), _clamp(_exp(log_e_p_alt)),
+        _clamp(_exp(log_eg_k)), _clamp(_exp(log_eg_1mgk)), _clamp(eps),
+        eps_det if vacuous else _clamp(eps_det), eps_det,
+        _clamp(_exp(log_cf)), eps_ex_raw, _clamp(eps_ex_raw),
+        applicable, vacuous, constraints, warnings)
 
 
 def lift_to_general(eps_det: float, q: int, k: int) -> float:
@@ -339,9 +330,20 @@ _CSV_FIELDS = [
     "log_closed_form", "eps", "closed_form", "eps_det", "eps_ex",
     "applicable", "vacuous",
 ]
-_csv_values = itemgetter(*_CSV_FIELDS)
+# a report's flat layout: its parameters, then its own fields
+_csv_values = itemgetter(*map(
+    (["c" if f == "c_rate" else f for f in BoundParams._fields] + _REPORT_FIELDS).index,
+    _CSV_FIELDS))
 
 
 def report_csv_rows(reports) -> tuple[list[str], list[list]]:
     """Header and rows for a CSV dump of a grid sweep."""
-    return list(_CSV_FIELDS), [list(_csv_values(r.to_json())) for r in reports]
+    return list(_CSV_FIELDS), [list(_csv_values(r.params + r[1:])) for r in reports]
+
+
+def csv_text(header: list[str], rows) -> str:
+    """The CSV text of ``header`` and ``rows``: ``str`` of each cell joined
+    by commas, CRLF after every line. For cells that hold no comma, quote
+    or line break (numbers, bools, plain names) it is exactly what
+    ``csv.writer``'s default dialect writes."""
+    return "".join([",".join(map(str, row)) + "\r\n" for row in [header, *rows]])

@@ -13,8 +13,6 @@ so runs are byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -114,6 +112,8 @@ def _params_from(args, config: dict) -> transform.FischlinParams:
     if k is None or l is None:
         raise ValueError("pass --k and --l (with --c or --n), or --lambda and --l")
     if c is not None:
+        if isinstance(c, bool):  # float(True) would read it as 1.0
+            raise ValueError("config c must be a number or a decimal string, not a bool")
         return transform.FischlinParams.explicit(k, l, float(c))
     if n is not None:
         return transform.FischlinParams(k=k, l=l, N=n, T=t if t is not None else n)
@@ -280,16 +280,13 @@ def cmd_bounds(args) -> int:
                                    grid.get("c", [args.c]),
                                    q=args.q, only_valid=not args.all_points)
         header, rows = bounds_mod.report_csv_rows(reports)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
+        text = bounds_mod.csv_text(header, rows)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(buf.getvalue())
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
             _emit(args, {"rows": len(rows), "csv": args.out})
         else:
-            sys.stdout.write(buf.getvalue())
+            sys.stdout.write(text)
         return 0
     if args.k is None or args.l is None or args.c is None:
         raise ValueError("pass --k, --l and --c (or --grid)")

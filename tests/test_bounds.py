@@ -1,9 +1,14 @@
+import dataclasses
 import math
 import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bounds_reference
+from fischlin import bounds
 from fischlin.bounds import (
     chernoff_lower_log,
     chernoff_upper_log,
@@ -257,6 +262,79 @@ class TestSweep:
         header, rows = report_csv_rows(sweep([2 ** 24], [14], [1.0]))
         assert "log_eps" in header and len(rows) == 1
         assert len(rows[0]) == len(header)
+
+
+def _outcome(module, k, l, c, q):
+    try:
+        return module.eval_chain(k, l, c, q)
+    except Exception as exc:
+        return exc
+
+
+def _field_reprs(report):
+    """(name, repr) of every field, the parameters first: repr tells NaN
+    and -0.0 apart where == would not."""
+    return [(f.name, repr(getattr(report.params, f.name)))
+            for f in dataclasses.fields(bounds_reference.BoundParams)] + \
+        [(f.name, repr(getattr(report, f.name)))
+         for f in dataclasses.fields(bounds_reference.BoundReport) if f.name != "params"]
+
+
+class TestAgainstReference:
+    """The engine against ``bounds_reference``, the frozen-dataclass engine
+    it replaced: the same fields to the bit and the same CSV text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.one_of(st.integers(1, 80).map(lambda e: 2 ** e), st.integers(2, 2 ** 80)),
+           l=st.integers(1, 40),
+           # moderate rates reach the non-vacuous region; the full range
+           # reaches N = 0 and N past the float range
+           c=st.one_of(st.floats(0.25, 16.0),
+                       st.floats(min_value=5e-324, max_value=1.7e308)),
+           q=st.one_of(st.just(0), st.integers(0, 2 ** 70)))
+    @example(k=2, l=1, c=0.5, q=0)  # N = 1, in the pinned grid
+    @example(k=2, l=1, c=0.1, q=0)  # N = 0
+    @example(k=4, l=14, c=0.00001, q=0)  # N = 0
+    @example(k=2 ** 62, l=24, c=8.0, q=2 ** 70)
+    @example(k=3, l=40, c=1e300, q=0)  # N beyond the float range
+    def test_fields_and_csv_match(self, k, l, c, q):
+        want = _outcome(bounds_reference, k, l, c, q)
+        got = _outcome(bounds, k, l, c, q)
+        if isinstance(want, ZeroDivisionError):
+            # the reference divided by mu = 0 where N rounds to 0
+            assert isinstance(got, ValueError) and str(got).startswith("N = round(")
+            return
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            return
+        assert _field_reprs(got) == _field_reprs(want)
+        assert bounds.csv_text(*report_csv_rows([got])) == \
+            bounds_reference.csv_text(*bounds_reference.report_csv_rows([want]))
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0,
+                                   1.0000000000000002, 0.9999999999999999, 5e-324])
+    def test_helpers_match_on_special_values(self, v):
+        assert repr(bounds._clamp(v)) == repr(bounds_reference._clamp(v))
+        for terms in ([v, 0.0], [-math.inf, v, -1.0], [v, v, v]):
+            assert repr(bounds._logsumexp(terms)) == repr(bounds_reference._logsumexp(terms))
+
+    def test_csv_text_special_cells(self):
+        header = ["k", "x", "flag"]
+        rows = [[2 ** 64 + 1, math.nan, True], [2 ** 200, math.inf, False],
+                [0, -math.inf, True], [-3, -0.0, False], [1, 5e-324, True],
+                [2, 1.7976931348623157e308, False], [3, 0.1, True]]
+        text = bounds.csv_text(header, rows)
+        assert text == bounds_reference.csv_text(header, rows)
+        assert text.endswith("\r\n") and text.count("\r\n") == len(rows) + 1
+
+    def test_records_are_immutable(self):
+        r = eval_chain(**FLAGSHIP)
+        with pytest.raises(AttributeError):
+            r.eps = 0.5
+        with pytest.raises(AttributeError):
+            r.params.delta = 0.5
+        assert bounds.BoundReport._field_defaults == {}  # no shared warnings list
+        assert eval_chain(**FLAGSHIP).warnings is not r.warnings
 
 
 class TestChernoffHelpers:

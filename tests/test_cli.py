@@ -410,6 +410,27 @@ class TestProveVerifyPipeline:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    # float(True) is 1.0: a bool rate would pass for c = 1
+    @pytest.mark.parametrize("command", ["prove", "simulate"])
+    def test_bool_rate_in_config_exits_2(self, tmp_path, capsys, keypair, command):
+        inst, wit = keypair
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"params": {"k": 2, "l": 2, "c": True}}))
+        files = ["--witness", str(wit)] if command == "prove" else \
+            ["--table-out", str(tmp_path / "table.json")]
+        code, out, err = run(capsys, command, "--instance", str(inst), *files,
+                             "--config", str(cfg), "--out", str(tmp_path / "proof.bin"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("c", [4, 4.0, "4", "4.0"])
+    def test_config_rate_is_a_float(self, c):
+        args = cli.build_parser(["prove"]).parse_args(
+            ["prove", "--instance", "i", "--witness", "w", "--out", "p"])
+        params = cli._params_from(args, {"params": {"k": 8, "l": 6, "c": c}})
+        assert params == FischlinParams.explicit(8, 6, 4.0)
+        assert type(params.c_rate) is float
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["prove"])  # missing required flags
@@ -667,14 +688,28 @@ class TestBoundsPlanLab:
         # 0, or a base beyond the float range, to a negative power
         ["--grid", "k=0^-1;l=14;c=1"],
         ["--grid", "k=4;l=14;c=" + "9" * 400 + "^-1"],
+        # N = round(c 2^l log2 k) rounds to 0, so mu = 0 would be a divisor
+        ["--k", "2", "--l", "1", "--c", "0.1"],
+        ["--k", "4", "--l", "14", "--c", "0.00001"],
+        ["--grid", "k=2^1..2^3;l=2;c=0.01", "--all-points"],
     ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow", "point-q-overflow",
             "point-q-square-rounds-up", "grid-k-fraction", "grid-l-fraction",
-            "grid-unknown-name", "grid-zero-negative-power", "grid-huge-negative-power"])
+            "grid-unknown-name", "grid-zero-negative-power", "grid-huge-negative-power",
+            "point-n-zero", "point-n-zero-l14", "grid-n-zero"])
     def test_bounds_out_of_range_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_bounds_out_writes_stdout_bytes(self, tmp_path, capsys):
+        grid = ["bounds", "--grid", "k=2^2..2^40;l=5,14,16;c=0.5,1,4", "--all-points"]
+        code, out, _ = run(capsys, *grid)
+        assert code == 0 and out.count("\r\n") == 1 + 39 * 3 * 3
+        path = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, *grid, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode()
 
     @pytest.mark.parametrize("spec", ["k=2^5000", "k=2^1..2^5000", "c=3^2000"])
     def test_grid_exponent_checked_before_power(self, spec):
