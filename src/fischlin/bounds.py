@@ -208,6 +208,11 @@ def eval_closed_form(k: int, l: int, c_rate: float, log: bool = False) -> float:
 
 def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
     """Evaluate the full extraction-error chain at (k, l, c, q)."""
+    return _eval_chain(k, l, c_rate, q, None)
+
+
+def _eval_chain(k: int, l: int, c_rate: float, q: int, constraints) -> BoundReport:
+    """``eval_chain``, given the point's ``corollary_constraints`` or None."""
     if l < 1 or k < 2:
         raise ValueError("need l >= 1 and k >= 2")
     if q < 0:
@@ -216,7 +221,7 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
     # square rounds past the float range, but log2 rounds up to 512 there
     if math.log2(q + k) >= 512:
         raise ValueError("q + k must be below 2^512")
-    constraints = corollary_constraints(k, l, c_rate)  # also checks c and float range
+    constraints = constraints or corollary_constraints(k, l, c_rate)  # checks c, float range
     n = round(c_rate * 2.0 ** l * math.log2(k))
     if n < 1:
         raise ValueError(f"N = round(c * 2^l * log2 k) is 0 at c = {c_rate!r}, "
@@ -241,8 +246,11 @@ def eval_chain(k: int, l: int, c_rate: float, q: int = 0) -> BoundReport:
         warnings.append("gamma = 4 * 2^-l above 1/2: compression tail undefined")
 
     log_e_dp = chernoff_upper_log(mu, delta) if applicable else 0.0
-    log_e_p = -(delta_prime ** 2) * mu_lower ** 2 / (2.0 * m) if applicable else 0.0
-    log_e_p_alt = -(delta_prime ** 2) * mu_lower / 2.0 ** (l + 1) if applicable else 0.0
+    try:
+        log_e_p = -(delta_prime ** 2) * mu_lower ** 2 / (2.0 * m) if applicable else 0.0
+        log_e_p_alt = -(delta_prime ** 2) * mu_lower / 2.0 ** (l + 1) if applicable else 0.0
+    except OverflowError:
+        raise ValueError(f"delta' or mu_lower squared overflows at c = {c_rate!r}") from None
     log_eg_k = eval_eps_gamma(gamma, l, float(k), log=True)
     log_eg_1mgk = eval_eps_gamma(gamma, l, (1.0 - gamma) * k, log=True)
 
@@ -312,14 +320,15 @@ def plan_parameters(k_target: int, c_rate: float, base_space: int) -> dict:
 
 def sweep(ks, ls, cs, q: int = 0, only_valid: bool = True) -> list[BoundReport]:
     """Chain reports over a (k, l, c) grid, optionally restricted to the
-    validity region."""
+    validity region; each point's constraints are computed once."""
     out = []
     for l in ls:
         for c in cs:
             for k in ks:
-                if only_valid and not all(corollary_constraints(k, l, c).values()):
-                    continue
-                out.append(eval_chain(k, l, c, q))
+                if not only_valid:
+                    out.append(eval_chain(k, l, c, q))
+                elif all((constraints := corollary_constraints(k, l, c)).values()):
+                    out.append(_eval_chain(k, l, c, q, constraints))
     return out
 
 

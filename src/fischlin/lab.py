@@ -61,7 +61,9 @@ def _over_cap(base: int, exp: int) -> bool:
 
 def plus_state(l: int, with_bot: bool = False) -> np.ndarray:
     """Uniform superposition over the 2^l outputs; optional marker slot.
-    ValueError past ``AMPLITUDE_CAP`` amplitudes, before allocating."""
+    ValueError for l < 1 or past ``AMPLITUDE_CAP`` amplitudes, before allocating."""
+    if l < 1:
+        raise ValueError("need l >= 1")
     if _over_cap(2, l) or (1 << l) + with_bot > AMPLITUDE_CAP:
         raise ValueError("state exceeds the amplitude cap")
     d = 1 << l
@@ -119,8 +121,8 @@ def comp_zero_tail_exact(l: int, k: int, gamma: float):
         raise ValueError("need l >= 1")
     if not 0.0 < gamma <= 0.5:
         raise ValueError("gamma must be in (0, 1/2]")
-    if k > 10 ** 6:
-        raise ValueError("k too large for the exact binomial")
+    if not 1 <= k <= 10 ** 6:
+        raise ValueError("need 1 <= k <= 10^6 for the exact binomial")
     p0 = (1.0 - 2.0 ** -l) ** 2
     threshold = math.ceil((1.0 - gamma) * k - 1e-9) - 1
     if threshold < 0:
@@ -198,6 +200,8 @@ def build_symmetric_state(m: int, n: int, l: int, rng,
     """
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
+    if l < 1:
+        raise ValueError("need l >= 1")
     d = 1 << l
     size = d ** m * (math.factorial(m) if symmetrize else 1)
     if size > AMPLITUDE_CAP:

@@ -50,7 +50,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .sigma import FieldReader, _unpack, pack_field
+from .sigma import _fields, _unpack, pack_field
 
 __all__ = [
     "OracleInput",
@@ -318,8 +318,8 @@ class ReprogramTable:
         for key in self.overrides:
             groups.setdefault(key[0], []).append(key)
         for prefix, keys in groups.items():
-            reader = FieldReader(prefix, "prefix", 12)
-            yield [reader.field().hex() for _ in range(struct.unpack_from(">I", prefix, 4)[0])], keys
+            parts = _fields(prefix, struct.unpack_from(">I", prefix, 4)[0], 12)[0]
+            yield [part.hex() for part in parts], keys
 
     def _point(self, key: tuple) -> tuple:
         """(i, c, z hex, y) of a programmed point."""
@@ -366,23 +366,19 @@ class ReprogramTable:
                     if raw is None or not key.startswith(raw):
                         if key[:12] != _prefix_head(params):
                             raise ValueError("key does not start with the tag, k and l")
-                        end = 12  # past the k fields, read by their lengths alone
-                        for _ in range(params.k):
-                            end += 2 + (key[end] << 8 | key[end + 1])
+                        parts, end = _fields(key, params.k, 12)
                         raw = key[:end]
                         prefix = prefixes.get(raw)
-                        if prefix is None:  # _unpack rejects a prefix cut short
+                        if prefix is None:
                             prefix = prefixes[raw] = _encode_prefix(
-                                params, protocol, _unpack(raw[12:], params.k),
-                                protocol.canonical_commitment)
-                    reader = FieldReader(key, "table key", len(raw))
-                    i, c = reader.u32s(2)
-                    response = reader.field()
-                    reader.end()
+                                params, protocol, parts, protocol.canonical_commitment)
+                    end = len(raw) + 8  # past i and c
+                    if len(key) < end:
+                        raise ValueError("truncated table key")
+                    i, c = struct.unpack_from(">II", key, end - 8)
+                    response, = _unpack(key[end:], 1)
                     table.program((prefix, _encode_tail(
                         params, i, c, protocol.canonical_response(response))), y)
-                except IndexError:  # a cut field length
-                    raise ValueError(f"table record {n}: truncated table key") from None
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"table record {n}: {exc!r}") from None
             return table

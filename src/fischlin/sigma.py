@@ -11,11 +11,12 @@ proof-of-work compiler in :mod:`fischlin.transform` never depends on the
 concrete instantiation. ``response_fields`` is the grinding prover's walk:
 for c = 0, 1, ... it yields ``pack_field(encode_response(respond(c)))``,
 the bytes an oracle query hashes after i and c, without building z.
+``_fields`` reads every list of ``pack_field`` fields (u16 length, then
+the bytes) but the proof's; ``_unpack`` is its exact-length form.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 __all__ = [
@@ -93,34 +94,6 @@ def pack_field(enc: bytes) -> bytes:
     if len(enc) > 0xFFFF:
         raise ValueError("element encoding too long")
     return len(enc).to_bytes(2, "big") + enc
-
-
-class FieldReader:
-    """Bounded reader of u32s and ``pack_field`` fields: ValueError past the end."""
-
-    def __init__(self, data: bytes, what: str, off: int = 0):
-        self.data, self.what, self.off = data, what, off
-
-    def take(self, count: int) -> bytes:
-        start, self.off = self.off, self.off + count
-        if self.off > len(self.data):
-            raise ValueError(f"truncated {self.what}")
-        return self.data[start:self.off]
-
-    def field(self) -> bytes:
-        # one check: a cut length prefix leaves start past the end already
-        data, start = self.data, self.off + 2
-        self.off = start + int.from_bytes(data[start - 2:start], "big")
-        if self.off > len(data):
-            raise ValueError(f"truncated {self.what}")
-        return data[start:self.off]
-
-    def u32s(self, count: int) -> tuple:
-        return struct.unpack(f">{count}I", self.take(4 * count))
-
-    def end(self):
-        if self.off != len(self.data):
-            raise ValueError("trailing bytes")
 
 
 @dataclass(frozen=True)
@@ -258,17 +231,8 @@ class Schnorr:
         return a, z
 
     # Canonical byte codec: minimal big-endian, length-prefixed by the caller.
-    def encode_commitment(self, a: int) -> bytes:
-        return encode_int(a)
-
-    def decode_commitment(self, data: bytes) -> int:
-        return decode_int(data)
-
-    def encode_response(self, z: int) -> bytes:
-        return encode_int(z)
-
-    def decode_response(self, data: bytes) -> int:
-        return decode_int(data)
+    encode_commitment = encode_response = staticmethod(encode_int)
+    decode_commitment = decode_response = staticmethod(decode_int)
 
     def canonical_response(self, data: bytes) -> bytes:
         """``encode_response(decode_response(data))``, without decoding."""
@@ -302,15 +266,11 @@ def _digits(c: int, base: int, count: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _pack(parts) -> bytes:
-    return b"".join([pack_field(part) for part in parts])
-
-
-def _unpack(data: bytes, count: int) -> list[bytes]:
-    """Exactly ``count`` packed fields; ValueError on a cut or longer list.
-    Reads each length from two indexed bytes, with no ``FieldReader``: this
-    runs per commitment and per response read from a file."""
-    parts, end = [], 0
+def _fields(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
+    """The ``count`` packed fields from offset ``start`` of ``data`` and the
+    offset past the last; ValueError on a cut list. Each length is read
+    from two indexed bytes: this runs per element read from a file."""
+    parts, end = [], start
     try:
         for _ in range(count):
             start = end + 2
@@ -318,8 +278,17 @@ def _unpack(data: bytes, count: int) -> list[bytes]:
             parts.append(data[start:end])
     except IndexError:  # a cut length
         raise ValueError("truncated element list") from None
+    if end > len(data):  # a cut field
+        raise ValueError("truncated element list")
+    return parts, end
+
+
+def _unpack(data: bytes, count: int) -> list[bytes]:
+    """Exactly ``count`` packed fields filling ``data``; ValueError on a cut
+    or longer list."""
+    parts, end = _fields(data, count, 0)
     if end != len(data):
-        raise ValueError("truncated element list" if end > len(data) else "trailing bytes")
+        raise ValueError("trailing bytes")
     return parts
 
 
@@ -427,7 +396,7 @@ class RepeatedSigma:
         parts = _unpack(data, self.copies)
         for part in parts:
             if part[:1] == b"\0":
-                return _pack(self.base.canonical_response(p) for p in parts)
+                return b"".join([pack_field(self.base.canonical_response(p)) for p in parts])
         return data
     canonical_commitment = canonical_response  # packs the base's shared codec
 

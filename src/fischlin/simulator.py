@@ -103,7 +103,6 @@ class SimOutput:
 class HybridSample:
     proof: transform.Proof
     verdict: bool
-    reps: tuple
 
 
 def _install_programmer(oracle, protocol, instance, a_vec, tilde):
@@ -175,9 +174,7 @@ def hybrid_experiment(params, protocol, instance, witness, mode, oracle, rng) ->
         proof = transform.prove(params, protocol, instance, witness, oracle, rng)
     else:
         proof, _ = _run(params, protocol, instance, oracle, rng, witness, mode)
-    verdict = transform.verify(params, protocol, instance, proof, oracle)
-    reps = tuple(zip(proof.a_vec, proof.c_vec, proof.z_vec))
-    return HybridSample(proof, verdict, reps)
+    return HybridSample(proof, transform.verify(params, protocol, instance, proof, oracle))
 
 
 def reprogramming_advantage(q: int, rounds) -> float:

@@ -258,6 +258,30 @@ class TestSweep:
                            only_valid=False)
         assert len(everything) == 4 > len(reports)
 
+    def test_constraints_once_per_point(self, monkeypatch):
+        # one corollary_constraints call per grid point, kept or skipped,
+        # and the kept points' reports as eval_chain gives them
+        ks, ls, cs = [2, 2 ** 20, 2 ** 30, 2 ** 40], [5, 14], [1.0, 4.0]
+        calls = []
+        original = bounds.corollary_constraints
+        monkeypatch.setattr(bounds, "corollary_constraints",
+                            lambda *point: calls.append(point) or original(*point))
+        reports = sweep(ks, ls, cs)
+        assert len(calls) == len(ks) * len(ls) * len(cs)
+        monkeypatch.undo()
+        assert 0 < len(reports) < len(calls)
+        assert reports == [eval_chain(k, l, c) for l in ls for c in cs for k in ks
+                           if all(corollary_constraints(k, l, c).values())]
+
+    @pytest.mark.parametrize("ks,ls,cs,q,error", [
+        ([2 ** 30], [14], [1.0], -1, "q must be nonnegative"),
+        ([0], [14], [1.0], 0, "math domain error"),
+        ([2 ** 30], [14], [0.0], 0, "c must be positive"),
+        ([2 ** 30], [14], [1.0], 2 ** 512, "q \\+ k must be below 2\\^512")])
+    def test_errors(self, ks, ls, cs, q, error):
+        with pytest.raises(ValueError, match=error):
+            sweep(ks, ls, cs, q)
+
     def test_csv_rows(self):
         header, rows = report_csv_rows(sweep([2 ** 24], [14], [1.0]))
         assert "log_eps" in header and len(rows) == 1
@@ -297,12 +321,17 @@ class TestAgainstReference:
     @example(k=4, l=14, c=0.00001, q=0)  # N = 0
     @example(k=2 ** 62, l=24, c=8.0, q=2 ** 70)
     @example(k=3, l=40, c=1e300, q=0)  # N beyond the float range
+    @example(k=2, l=4, c=1e154, q=0)  # delta' and mu_lower squared overflow
     def test_fields_and_csv_match(self, k, l, c, q):
         want = _outcome(bounds_reference, k, l, c, q)
         got = _outcome(bounds, k, l, c, q)
         if isinstance(want, ZeroDivisionError):
             # the reference divided by mu = 0 where N rounds to 0
             assert isinstance(got, ValueError) and str(got).startswith("N = round(")
+            return
+        if isinstance(want, OverflowError):
+            # the reference squared delta' or mu_lower past the float range
+            assert isinstance(got, ValueError) and str(got).startswith("delta' or mu_lower squared")
             return
         if isinstance(want, Exception):
             assert type(got) is type(want)

@@ -321,6 +321,19 @@ class TestProveVerifyPipeline:
         code, _, err = run(capsys, *argv, flag, str(bad))
         assert code == 2 and "error" in err
 
+    def test_cut_list_table_key_exits_2(self, tmp_path, capsys, keypair):
+        inst, wit = keypair
+        proof, table = tmp_path / "proof.bin", tmp_path / "table.json"
+        code, _, _ = run(capsys, "prove", "--instance", str(inst), "--witness", str(wit),
+                         "--k", "2", "--l", "2", "--n", "16", "--out", str(proof))
+        assert code == 0
+        for cut in range(0, len(KEY), 2):
+            table.write_text(json.dumps([{"key": KEY[:cut], "y": 0}]))
+            code, out, err = run(capsys, "verify", "--proof", str(proof),
+                                 "--instance", str(inst), "--table", str(table))
+            assert (code, out) == (2, "") and err.startswith("error: ")
+            assert "table record 0" in err
+
     # A field that must hold an integer holds a number that is not finite
     # (1e999 overflows a float; Infinity and NaN are not JSON numbers) or
     # not an integer (a fraction, a bool, an integral float). The field
@@ -692,10 +705,12 @@ class TestBoundsPlanLab:
         ["--k", "2", "--l", "1", "--c", "0.1"],
         ["--k", "4", "--l", "14", "--c", "0.00001"],
         ["--grid", "k=2^1..2^3;l=2;c=0.01", "--all-points"],
+        # delta' and mu_lower squared overflow a float
+        ["--k", "2", "--l", "4", "--c", "1e154"],
     ], ids=["grid-c-zero", "grid-k-overflow", "point-l-overflow", "point-q-overflow",
             "point-q-square-rounds-up", "grid-k-fraction", "grid-l-fraction",
             "grid-unknown-name", "grid-zero-negative-power", "grid-huge-negative-power",
-            "point-n-zero", "point-n-zero-l14", "grid-n-zero"])
+            "point-n-zero", "point-n-zero-l14", "grid-n-zero", "point-square-overflow"])
     def test_bounds_out_of_range_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "bounds", *argv)
         assert code == 2
@@ -760,7 +775,8 @@ class TestBoundsPlanLab:
 
     # the first two ended in numpy's MemoryError traceback, the martingale
     # after asking for 64 GiB; the next three "passed" at l = 0; m = -1
-    # ended in an IndexError traceback and m = 0 in a numpy message
+    # ended in an IndexError traceback and m = 0 in a numpy message; the
+    # last four "passed" at l = 0 and at k below 1
     @pytest.mark.parametrize("argv,error", [
         (["comp-involution", "--l", "24"], "matrix exceeds the amplitude cap"),
         (["martingale", "--m", "30", "--l", "4"], "state exceeds the amplitude cap"),
@@ -768,7 +784,11 @@ class TestBoundsPlanLab:
         (["query-smoke", "--l", "0"], "need l >= 1"),
         (["comp-zero-tail", "--l", "0"], "need l >= 1"),
         (["martingale", "--m", "-1"], "need m >= 1"),
-        (["martingale", "--m", "0"], "need m >= 1")])
+        (["martingale", "--m", "0"], "need m >= 1"),
+        (["measure", "--l", "0"], "need l >= 1"),
+        (["martingale", "--l", "0"], "need l >= 1"),
+        (["comp-zero-tail", "--k", "0"], "need 1 <= k <= 10^6 for the exact binomial"),
+        (["comp-zero-tail", "--k", "-5"], "need 1 <= k <= 10^6 for the exact binomial")])
     def test_lab_size_errors_exit_2(self, capsys, argv, error):
         tracemalloc.start()
         try:

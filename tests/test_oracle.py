@@ -23,8 +23,8 @@ from fischlin.oracle import (
     ro_eval,
     zero_bound,
 )
-from fischlin.sigma import FieldReader, GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
-    SigmaWitness, pack_field, protocol_for_challenge_space
+from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
+    SigmaWitness, _fields, pack_field, protocol_for_challenge_space
 from fischlin.transform import FischlinParams
 from transcript_entries import decode_input, entries
 
@@ -367,6 +367,25 @@ class TestTranscriptSerialization:
         with pytest.raises(ValueError, match="table record 0"):
             ReprogramTable.from_json(PARAMS, FUZZ_PROTOCOLS[0][0], records)
 
+    @pytest.mark.parametrize("fuzz", [0, 1], ids=["schnorr", "two-copy"])
+    def test_table_list_key_cut_anywhere(self, fuzz):
+        # a key cut at any byte, alone or after the whole key, is named as
+        # its record, never an IndexError or a struct.error
+        protocol, n = FUZZ_PROTOCOLS[fuzz]
+        params = FischlinParams(k=2, l=4, N=n, T=n)
+        inst, rng = SigmaInstance(FUZZ_GROUP, 80), random.Random(61)
+        a_vec = tuple(protocol.commit(inst, rng)[0] for _ in range(2))
+        z = protocol.respond(protocol.commit(inst, rng)[1], SigmaWitness(7), n - 1)
+        key = encode_input(params, protocol, OracleInput(a_vec, 2, n - 1, z))
+        whole = {"key": key.hex(), "y": 3}
+        assert len(ReprogramTable.from_json(params, protocol, [whole])) == 1
+        for cut in range(len(key)):
+            record = {"key": key[:cut].hex(), "y": 3}
+            for records, where in (([record], "table record 0"),
+                                   ([whole, record], "table record 1")):
+                with pytest.raises(ValueError, match=where):
+                    ReprogramTable.from_json(params, protocol, records)
+
     def test_table_repeated_point(self, proto):
         inp = OracleInput((64, 80), 2, 5, 300)
         listed = [{"key": encode_input(PARAMS, proto, inp).hex(), "y": 3}]
@@ -557,7 +576,7 @@ def jsonl_cases(draw):
         elif isinstance(protocol, RepeatedSigma) and draw(st.booleans()):
             # inside the first packed element, whose length grows by one
             z = bytes.fromhex(rec["z"])
-            first = FieldReader(z, "z").field()
+            first = _fields(z, 1, 0)[0][0]
             rec["z"] = (pack_field(b"\0" + first) + z[2 + len(first):]).hex()
         else:
             rec["z"] = "00" + rec["z"]

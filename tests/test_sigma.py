@@ -14,11 +14,14 @@ from fischlin.sigma import (
     Schnorr,
     SigmaInstance,
     SigmaWitness,
+    _fields,
+    _unpack,
     keygen,
     pack_field,
     protocol_for_challenge_space,
     restrict_and_repeat,
 )
+import proof_reference
 
 
 class TestGroupParams:
@@ -328,3 +331,62 @@ class TestRestrictAndRepeat:
         proto = protocol_for_challenge_space(toy_group, 768)
         assert isinstance(proto, RepeatedSigma) and proto.copies == 2
         assert protocol_for_challenge_space(toy_group, 509 ** 2 + 1).copies == 3
+
+
+def outcome(read, *args):
+    """What ``read`` returns, or ValueError if it raises that."""
+    try:
+        return read(*args)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def packed_lists(draw):
+    """(data, count, start): a packed list after ``start`` junk bytes, of
+    short, empty and 0xFFFF-byte fields, then cut, extended or given a
+    0xFFFF length at some offset, or random bytes; ``count`` is the
+    field count give or take one."""
+    head = draw(st.binary(max_size=3))
+    parts = draw(st.lists(st.one_of(st.binary(max_size=4), st.just(b""),
+                                    st.just(b"\x5a" * 0xFFFF)), max_size=4))
+    data = head + b"".join(pack_field(p) for p in parts)
+    mutation = draw(st.sampled_from(["none", "cut", "extend", "ffff", "random"]))
+    if mutation == "cut" and data:
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif mutation == "extend":
+        data += draw(st.binary(min_size=1, max_size=3))
+    elif mutation == "ffff":
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + b"\xff\xff" + data[pos + 2:]
+    elif mutation == "random":
+        data = head + draw(st.binary(max_size=12))
+    count = max(0, len(parts) + draw(st.integers(-1, 1)))
+    return data, count, min(len(head), len(data))
+
+
+class TestPackedFields:
+    """``_fields`` and ``_unpack`` against the bounded reader of
+    ``tests/proof_reference.py``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(packed_lists())
+    def test_same_fields_as_reference(self, case):
+        data, count, start = case
+
+        def reference(data, count, start):
+            reader = proof_reference.Reader(data, start)
+            return [reader.field() for _ in range(count)], reader.off
+
+        assert outcome(_fields, data, count, start) == outcome(reference, data, count, start)
+        assert outcome(_unpack, data[start:], count) == \
+            outcome(proof_reference.fields, data[start:], count)
+
+    def test_messages(self):
+        assert _fields(b"\0\1a\0\0rest", 2, 0) == ([b"a", b""], 5)
+        assert _unpack(b"", 0) == []
+        for data in (b"\0", b"\0\2a"):
+            with pytest.raises(ValueError, match="^truncated element list$"):
+                _unpack(data, 1)
+        with pytest.raises(ValueError, match="^trailing bytes$"):
+            _unpack(b"\0\1ab", 1)

@@ -319,6 +319,18 @@ class TestSerialization:
                                prove(params, proto, inst, wit, oracle, rng))
         assert peek_params(blob) == (2, 2, 16)
 
+    def test_cut_header_rejected(self, toy_group):
+        # every cut below the 16-byte header: magic, u32 k, u32 l, u32 N
+        params = FischlinParams(k=2, l=2, N=16, T=16)
+        proto, rng, inst, wit, oracle = make_run(toy_group, params, 12)
+        blob = serialize_proof(params, proto,
+                               prove(params, proto, inst, wit, oracle, rng))
+        for cut in range(16):
+            want = "bad magic" if cut < 4 else "truncated header"
+            for read in (peek_params, functools.partial(deserialize_proof, params, proto)):
+                with pytest.raises(ValueError, match=f"^{want}$"):
+                    read(blob[:cut])
+
     def test_json_roundtrip(self, toy_group):
         params = FischlinParams(k=2, l=2, N=16, T=16)
         proto, rng, inst, wit, oracle = make_run(toy_group, params, 13)
@@ -472,7 +484,7 @@ READERS = [deserialize_proof, proof_reference.deserialize_proof]
 
 
 class TestOnePassReader:
-    """``deserialize_proof`` against the ``FieldReader`` reader it replaced
+    """``deserialize_proof`` against the bounded reader it replaced
     (``tests/proof_reference.py``)."""
 
     @settings(max_examples=150, deadline=None)

@@ -6,25 +6,25 @@ keeps each query once, in its vector's ``answers``, and the record order
 across vectors as a list of vector numbers; the tests compare whole
 recorded queries, so it decodes each one with ``TranscriptVector.input``."""
 
+import struct
 from typing import NamedTuple
 
 from fischlin.oracle import OracleInput
-from fischlin.sigma import FieldReader
+from fischlin.sigma import _fields, _unpack
 
 
 def decode_input(params, protocol, data: bytes) -> OracleInput:
     """Inverse of ``encode_input``; raises ValueError on a malformed or
     truncated key."""
-    if data[:4] != b"FIS1":
-        raise ValueError("bad tag")
-    reader = FieldReader(data, "key", 4)
-    if reader.u32s(2) != (params.k, params.l):
-        raise ValueError("parameter mismatch")
-    a_vec = tuple(protocol.decode_commitment(reader.field()) for _ in range(params.k))
-    i, c = reader.u32s(2)
-    z = protocol.decode_response(reader.field())
-    reader.end()
-    return OracleInput(a_vec, i, c, z)
+    if data[:12] != b"FIS1" + struct.pack(">II", params.k, params.l):
+        raise ValueError("bad tag or parameters")
+    parts, end = _fields(data, params.k, 12)
+    if len(data) < end + 8:
+        raise ValueError("truncated key")
+    i, c = struct.unpack_from(">II", data, end)
+    response, = _unpack(data[end + 8:], 1)
+    return OracleInput(tuple(protocol.decode_commitment(p) for p in parts), i, c,
+                       protocol.decode_response(response))
 
 
 class Entry(NamedTuple):
