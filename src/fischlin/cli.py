@@ -304,6 +304,8 @@ def cmd_plan(args) -> int:
 def cmd_lab(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.trials > 10 ** 6:
+        raise ValueError("--trials must be at most 10^6")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     check = args.check
     if check == "comp-involution":
@@ -462,7 +464,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,6 +309,9 @@ def sequential_measure_martingale(state: TensorState, epsilon: float,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     m = state.m
+    bound = math.exp(-epsilon ** 2 / (2.0 * m))
+    if not (epsilon > 0 and 0 < bound < 1):
+        raise ValueError("need epsilon > 0 with exp(-epsilon^2 / 2m) in (0, 1)")
     pmf = np.abs(state.amps) ** 2
     for _ in range(state.env_axes):
         pmf = pmf.sum(axis=-1)
@@ -335,7 +338,6 @@ def sequential_measure_martingale(state: TensorState, epsilon: float,
         table = cond_zero[i]
         cum_mean += table[digits[:i]] if i else float(table)
     empirical = float(np.mean(zero_count <= cum_mean - epsilon))
-    bound = math.exp(-epsilon ** 2 / (2.0 * m))
     sigma = math.sqrt(max(bound * (1.0 - bound), 1.0 / trials) / trials)
     return MartingaleReport(empirical, bound, sigma, epsilon, trials,
                             float(zero_count.mean()), float(cum_mean.mean()))
@@ -362,6 +364,8 @@ def chernoff_mc(n: int, p: float, delta: float, trials: int, rng) -> ChernoffRep
     exp(-mu delta^2 / 3) and exp(-mu delta^2 / 2)."""
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
+    if n < 1 or not 0 < p <= 1:
+        raise ValueError("need n >= 1 and p in (0, 1]")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     mu = n * p

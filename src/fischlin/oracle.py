@@ -37,8 +37,10 @@ The transcript's JSONL is grouped like the table: a vector line
 then that vector's point lines ``{"i", "c", "z", "y"}``. The reader also
 takes the earlier line format, whose every line holds ``a`` and a point,
 by one rule: ``a`` picks the vector and any other key makes a point line.
-A point line in the writer's own text shape is read with one pattern match;
-every other line goes through ``json.loads``.
+A point line in the writer's own text shape, whose ``z`` matches the
+protocol's ``response_hex`` (a canonical response, each part at most an
+element wide), is read with one pattern match and no codec call; every
+other line goes through ``json.loads``, its response canonicalised.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
 
 _TAG = b"FIS1"
 _U32_PAIR = struct.Struct(">II").pack  # k, l after the tag; i, c opening a tail
+_POINT_HEAD = struct.Struct(">IIH").pack  # i, c and the response's length: a tail's head
 
 
 class ReprogramConflict(ValueError):
@@ -226,14 +229,15 @@ class OracleTranscript:
         tail. A point that repeats a recorded query is dropped if it has the
         same ``y`` and malformed if it has another.
 
-        A point line in the writer's text shape whose values are in range is
-        read by ``_POINT_LINE`` without ``json.loads``; it gives the same
-        tail and ``y`` as the JSON path, which reads every other line and
-        names any error."""
+        A point line in the writer's text shape whose values are in range
+        and whose ``z`` is a canonical response of the protocol's width
+        (``_point_line``) is read with one match, no ``json.loads`` and no
+        codec call; it gives the same tail and ``y`` as the JSON path, which
+        reads every other line and names any error."""
         ts = cls()
         vectors: dict[tuple, TranscriptVector] = {}  # hex strings -> vector
         vec = None
-        match, canonical = _POINT_LINE.fullmatch, protocol.canonical_response
+        match = _point_line(protocol.response_hex).fullmatch
         k, n_max, y_max = params.k, params.N, 1 << params.l
         for n, line in enumerate(text.splitlines(), 1):
             try:
@@ -242,7 +246,7 @@ class OracleTranscript:
                     i, c, z, y = m.groups()
                     i, c, y = int(i), int(c), int(y)
                 if m and 1 <= i <= k and c < n_max and y < y_max:
-                    tail = _U32_PAIR(i, c) + pack_field(canonical(bytes.fromhex(z)))
+                    tail = _POINT_HEAD(i, c, len(z) >> 1) + bytes.fromhex(z)
                 elif not line.strip():
                     continue
                 else:
@@ -271,21 +275,29 @@ class OracleTranscript:
 
 
 # A point line exactly as ``to_jsonl`` writes it: ints without a leading
-# zero and short enough to need no big-int parse, lowercase even-length hex.
+# zero and short enough to need no big-int parse.
 _INT = "(0|[1-9][0-9]{0,18})"
-_POINT_LINE = re.compile(r'\{"i": %s, "c": %s, "z": "((?:[0-9a-f]{2})*)", "y": %s\}'
-                         % (_INT, _INT, _INT))
+
+
+def _point_line(response_hex: str) -> re.Pattern:
+    """A point line exactly as ``to_jsonl`` writes it, its ``z`` matching
+    ``response_hex``, a protocol's regex source for the lowercase hex of
+    its canonical responses; ``re`` keeps the compiled pattern."""
+    return re.compile(r'\{"i": %s, "c": %s, "z": "(%s)", "y": %s\}'
+                      % (_INT, _INT, response_hex, _INT))
 
 
 def _read_point(params, protocol, rec) -> tuple:
     """(tail, y) of a JSON point record ``{i, c, z, y}``, the record shape
-    of the transcript JSONL and the reprogram table. The response is
-    re-encoded canonically; a malformed record raises KeyError, TypeError
-    or ValueError."""
+    of the transcript JSONL and the reprogram table. A ``z`` that misses
+    the protocol's ``response_hex`` is re-encoded canonically; a malformed
+    record raises KeyError, TypeError or ValueError."""
     i, c, y = rec["i"], rec["c"], rec["y"]
     if not all(type(v) is int for v in (i, c, y)) or not 0 <= y < 1 << params.l:
         raise ValueError("i, c and y must be integers, y in [0, 2^l)")
-    response = protocol.canonical_response(bytes.fromhex(rec["z"]))
+    response = bytes.fromhex(z := rec["z"])
+    if not re.fullmatch(protocol.response_hex, z):
+        response = protocol.canonical_response(response)
     return _encode_tail(params, i, c, response), y
 
 

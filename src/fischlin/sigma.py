@@ -13,6 +13,10 @@ for c = 0, 1, ... it yields ``pack_field(encode_response(respond(c)))``,
 the bytes an oracle query hashes after i and c, without building z.
 ``_fields`` reads every list of ``pack_field`` fields (u16 length, then
 the bytes) but the proof's; ``_unpack`` is its exact-length form.
+``response_hex`` is a regex source for the lowercase hex of the canonical
+response encodings whose parts are at most an element wide: bytes whose
+hex it matches are their own ``canonical_response``, so a reader that
+matches it skips that call.
 """
 
 from __future__ import annotations
@@ -173,6 +177,8 @@ class Schnorr:
             raise ValueError("challenge space must satisfy 2 <= N <= q")
         self.group = group
         self.challenge_space = n
+        # empty, or encode_int's bytes, no wider than one u16 field holds
+        self.response_hex = "(?:%s)?" % (_CANONICAL_HEX % f"0,{min(_width(group.q), 0xFFFF) - 1}")
 
     def commit(self, instance: SigmaInstance, rng) -> tuple[int, CommitState]:
         """First move: a = g^r for uniform r mod q. Min-entropy log2(q)."""
@@ -245,6 +251,11 @@ def _width(q: int) -> int:
     return ((q - 1).bit_length() + 7) // 8
 
 
+# Regex source for the lowercase hex of a nonzero first byte, then of the
+# rest of an ``encode_int`` encoding: ``% "0,w"`` for at most w more bytes.
+_CANONICAL_HEX = "(?:0[1-9a-f]|[1-9a-f][0-9a-f])(?:[0-9a-f]{2}){%s}"
+
+
 def _walk_fields(tables, r: int, w: int, q: int, run: int, n: int):
     """n fields in runs of ``run``: each run walks z = r, r + w, ... mod q
     and writes each z after its own table's prefix for z's byte width."""
@@ -313,6 +324,12 @@ class RepeatedSigma:
         self.copies = copies
         self.challenge_space = challenge_space
         self.group = base.group
+        # each part is 0000 or a u16 length m, then encode_int's m bytes;
+        # widest first, and no wider than one field can hold in all
+        width = min(_width(self.group.q), 0xFFFF // copies - 2)
+        self.response_hex = "(?:%s){%d}" % ("|".join(
+            ["%04x" % m + _CANONICAL_HEX % (m - 1) for m in range(width, 0, -1)]
+            + ["0000"]), copies)
 
     def commit(self, instance, rng):
         pairs = [self.base.commit(instance, rng) for _ in range(self.copies)]

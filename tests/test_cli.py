@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fischlin import cli
 from fischlin.cli import _parse_grid, main
+from fischlin.oracle import OracleTranscript
 from fischlin.sigma import GroupParams, protocol_for_challenge_space
 from fischlin.transform import FischlinParams, Proof, serialize_proof
 
@@ -230,6 +231,28 @@ class TestProveVerifyPipeline:
             assert got[2].startswith(f"error: transcript line {len(lines) + 1}: ")
         else:
             assert got == want
+
+    @pytest.mark.parametrize("n", ["256", "600"], ids=["schnorr", "two-copy"])
+    def test_recorded_points_read_by_one_match(self, tmp_path, capsys, keypair,
+                                               monkeypatch, n):
+        # every point line prove --record writes takes the one-match path:
+        # json.loads reads the vector lines only, and no response is
+        # re-encoded
+        inst, wit = keypair
+        proof, record = tmp_path / "proof.bin", tmp_path / "transcript.jsonl"
+        code, _, _ = run(capsys, "prove", "--instance", str(inst), "--witness", str(wit),
+                         "--k", "4", "--l", "4", "--n", n, "--out", str(proof),
+                         "--record", str(record), "--seed", "3")
+        assert code == 0
+        text = record.read_text()
+        protocol = protocol_for_challenge_space(GroupParams(1019, 509, 4), int(n))
+        params = FischlinParams(k=4, l=4, N=int(n), T=int(n))
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
+        monkeypatch.setattr(type(protocol), "canonical_response", None)
+        transcript = OracleTranscript.from_jsonl(params, protocol, text)
+        assert calls == [x for x in text.splitlines() if x.startswith('{"a": ')]
+        assert len(transcript) == len(text.splitlines()) - len(calls) > len(calls)
 
     def test_config_file_params(self, tmp_path, capsys, keypair):
         inst, wit = keypair
@@ -788,7 +811,13 @@ class TestBoundsPlanLab:
         (["measure", "--l", "0"], "need l >= 1"),
         (["martingale", "--l", "0"], "need l >= 1"),
         (["comp-zero-tail", "--k", "0"], "need 1 <= k <= 10^6 for the exact binomial"),
-        (["comp-zero-tail", "--k", "-5"], "need 1 <= k <= 10^6 for the exact binomial")])
+        (["comp-zero-tail", "--k", "-5"], "need 1 <= k <= 10^6 for the exact binomial"),
+        *[(["martingale", "--epsilon", e],
+           "need epsilon > 0 with exp(-epsilon^2 / 2m) in (0, 1)")
+          for e in ("-1", "0", "1e-320", "inf", "nan", "1e100")],
+        *[(["chernoff", *a], "need n >= 1 and p in (0, 1]")
+          for a in (["--num", "0"], ["--num", "-3"], ["--p", "0"], ["--p", "1.5"],
+                    ["--p", "nan"])]])
     def test_lab_size_errors_exit_2(self, capsys, argv, error):
         tracemalloc.start()
         try:
@@ -799,6 +828,28 @@ class TestBoundsPlanLab:
         assert code == 2 and out == ""
         assert err == f"error: {error}\n"
         assert peak < 1 << 20
+
+    # each ended in an OverflowError traceback with exit 1
+    @pytest.mark.parametrize("argv", [
+        ["query-smoke", "--l", "100000000000000000000"],
+        ["martingale", "--epsilon", "1e308"],
+        ["martingale", "--trials", "100000000000000000000"],
+        ["chernoff", "--num", "100000000000000000000"]])
+    def test_lab_overflow_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "lab", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_lab_trials_cap(self, capsys, monkeypatch):
+        # the cap is checked before the first trial is drawn
+        def no_state(*args):
+            raise AssertionError("trial started")
+        monkeypatch.setattr(cli.lab_mod, "build_symmetric_state", no_state)
+        for trials in ("1000001", "100000000000000000000"):
+            code, out, err = run(capsys, "lab", "measure", "--trials", trials)
+            assert (code, out, err) == (2, "", "error: --trials must be at most 10^6\n")
+        with pytest.raises(AssertionError, match="trial started"):
+            run(capsys, "lab", "measure", "--trials", "1000000")
 
     def test_query_smoke_checks_cap_before_power(self, capsys):
         # 3^3000000 took about a second to build before the cap check, and

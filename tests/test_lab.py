@@ -293,6 +293,13 @@ class TestMartingale:
             rep = sequential_measure_martingale(st, eps, 20_000, rng)
             assert rep.ok, rep
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, 1e-320, 1e100, math.inf, math.nan])
+    def test_epsilon_domain(self, eps):
+        # the bound is stated for epsilon > 0, and a bound of 1 or 0 checks nothing
+        st = TensorState(2, 1, product_state(2, plus_state(1)))
+        with pytest.raises(ValueError, match="need epsilon > 0"):
+            sequential_measure_martingale(st, eps, 10, np.random.default_rng(10))
+
 
 class TestChernoffMC:
     def test_standard_point(self):
@@ -319,6 +326,12 @@ class TestChernoffMC:
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError):
             chernoff_mc(10, 0.5, 0.0, 10, rng)
+
+    @pytest.mark.parametrize("n,p", [(0, 0.5), (-1, 0.5), (10, 0.0), (10, 1.5), (10, math.nan)])
+    def test_n_and_p_domain(self, n, p):
+        # no draws, or p = 0, put every tail and bound at 1
+        with pytest.raises(ValueError, match=r"^need n >= 1 and p in \(0, 1\]$"):
+            chernoff_mc(n, p, 0.5, 10, np.random.default_rng(14))
 
 
 @pytest.mark.parametrize("trials", [0, -1])

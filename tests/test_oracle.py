@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fischlin.oracle import (
-    _POINT_LINE,
     OracleInput,
     OracleTranscript,
     RecordingOracle,
@@ -19,12 +18,13 @@ from fischlin.oracle import (
     ReprogramTable,
     derive_seed,
     _encode_prefix,
+    _point_line,
     encode_input,
     ro_eval,
     zero_bound,
 )
 from fischlin.sigma import GroupParams, RepeatedSigma, Schnorr, SigmaInstance, \
-    SigmaWitness, _fields, pack_field, protocol_for_challenge_space
+    SigmaWitness, _fields, _width, pack_field, protocol_for_challenge_space
 from fischlin.transform import FischlinParams
 from transcript_entries import decode_input, entries
 
@@ -317,7 +317,7 @@ class TestTranscriptSerialization:
     def test_point_out_of_range(self, proto, key, value, why):
         # a point line in the writer's own text shape, one value just out of range
         point = json.dumps({"i": 1, "c": 0, "z": "40", "y": 0, key: value})
-        assert _POINT_LINE.fullmatch(point)
+        assert _point_line(proto.response_hex).fullmatch(point)
         with pytest.raises(ValueError, match="transcript line 2: .*" + why):
             OracleTranscript.from_jsonl(PARAMS, proto, f'{{"a": ["40", "50"]}}\n{point}\n')
 
@@ -532,8 +532,9 @@ def jsonl_cases(draw):
     removed, a leading 00 put on a hex field, blank lines added, a point
     repeated with the same or another y, a point moved above every vector
     line, a point given an ``a`` key after ``i``, a point written in
-    another JSON text shape, a point's i, c or y put just out of range, or
-    left as is."""
+    another JSON text shape, a point's i, c or y put just out of range, a
+    point's response part made one byte wider than any element, or left as
+    is."""
     protocol, n = draw(st.sampled_from(FUZZ_PROTOCOLS))
     params = FischlinParams(k=draw(st.integers(1, 3)), l=4, N=n, T=n)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -551,10 +552,11 @@ def jsonl_cases(draw):
     lines = write(protocol).splitlines()
     mutation = draw(st.sampled_from(
         ["none", "cut", "flip", "extend", "type", "missing", "zero", "blank",
-         "repeat", "repeat-other", "point-first", "a-after-i", "shape", "range"]))
+         "repeat", "repeat-other", "point-first", "a-after-i", "shape", "range",
+         "wide"]))
     points = [j for j, x in enumerate(lines) if '"i": ' in x]
     j = draw(st.sampled_from(points if mutation in (
-        "repeat", "repeat-other", "point-first", "a-after-i", "shape", "range")
+        "repeat", "repeat-other", "point-first", "a-after-i", "shape", "range", "wide")
         else range(len(lines))))
     line = lines[j]
     if mutation == "cut":
@@ -604,7 +606,18 @@ def jsonl_cases(draw):
             line = json.dumps(dict(reversed(rec.items())))
         else:
             line = line.replace(": ", ":  ")
-        assert _POINT_LINE.fullmatch(line) is None  # so read by json.loads
+        assert _point_line(protocol.response_hex).fullmatch(line) is None  # so read by json.loads
+    elif mutation == "wide":
+        # a canonical part one byte wider than any element, which the
+        # pattern leaves to json.loads
+        rec = json.loads(line)
+        wide = bytes([draw(st.integers(1, 255))]) + draw(st.binary(
+            min_size=_width(FUZZ_GROUP.q), max_size=_width(FUZZ_GROUP.q)))
+        if isinstance(protocol, RepeatedSigma):
+            z = bytes.fromhex(rec["z"])
+            wide = pack_field(wide) + z[2 + len(_fields(z, 1, 0)[0][0]):]
+        line = line.replace(f'"z": "{rec["z"]}"', f'"z": "{wide.hex()}"', 1)
+        assert _point_line(protocol.response_hex).fullmatch(line) is None
     lines[j] = line
     if mutation.startswith("repeat"):
         rec = json.loads(line)
@@ -771,6 +784,21 @@ class TestTableWriter:
         fh = io.StringIO()
         table.write_json(fh)
         assert fh.getvalue() == json.dumps(table.to_json(), indent=2)
+
+    @pytest.mark.parametrize("protocol,n", FUZZ_PROTOCOLS, ids=["schnorr", "two-copy"])
+    def test_written_points_read_without_recoding(self, protocol, n, monkeypatch):
+        # each response the writer puts in a table matches response_hex,
+        # so reading the table back re-encodes none
+        params = FischlinParams(k=2, l=4, N=n, T=n)
+        oracle = RecordingOracle(params, protocol, derive_seed(47))
+        rng, inst = random.Random(47), SigmaInstance(FUZZ_GROUP, 80)
+        a_vec = tuple(protocol.commit(inst, rng)[0] for _ in range(2))
+        for c in range(0, n, 3):
+            z = protocol.respond(protocol.commit(inst, rng)[1], SigmaWitness(7), c)
+            oracle.reprogram(OracleInput(a_vec, c % 2 + 1, c, z), c % 16)
+        monkeypatch.setattr(type(protocol), "canonical_response", None)
+        back = ReprogramTable.from_json(params, protocol, oracle.table.to_json())
+        assert back.overrides == oracle.table.overrides
 
     def test_empty_table(self):
         fh = io.StringIO()

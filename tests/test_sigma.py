@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import islice
 
@@ -16,6 +17,8 @@ from fischlin.sigma import (
     SigmaWitness,
     _fields,
     _unpack,
+    _width,
+    encode_int,
     keygen,
     pack_field,
     protocol_for_challenge_space,
@@ -390,3 +393,71 @@ class TestPackedFields:
                 _unpack(data, 1)
         with pytest.raises(ValueError, match="^trailing bytes$"):
             _unpack(b"\0\1ab", 1)
+
+
+# q = 65633 takes 3 bytes; 131267 = 2 * 65633 + 1.
+WIDE_GROUP = GroupParams(131267, 65633, 4)
+HEX_PROTOCOLS = [Schnorr(GroupParams(1019, 509, 4)),
+                 protocol_for_challenge_space(GroupParams(1019, 509, 4), 600),
+                 Schnorr(WIDE_GROUP),
+                 protocol_for_challenge_space(WIDE_GROUP, 65634),
+                 protocol_for_challenge_space(WIDE_GROUP, 65633 ** 2 + 1)]
+
+
+def parts_of(protocol, data):
+    """The encode_int parts of a response encoding: one for Schnorr."""
+    return _unpack(data, protocol.copies) if isinstance(protocol, RepeatedSigma) else [data]
+
+
+@st.composite
+def response_bytes(draw):
+    """(protocol, data): an in-range response's encoding, then a 00 put
+    before a part, a byte flipped, the bytes cut or extended, a part made
+    one byte wider than any element, or random bytes."""
+    protocol = draw(st.sampled_from(HEX_PROTOCOLS))
+    q, width = protocol.group.q, _width(protocol.group.q)
+    copies = getattr(protocol, "copies", 1)
+    z = [draw(st.sampled_from([0, 1, 255, 256, q - 1]) | st.integers(0, q - 1))
+         for _ in range(copies)]
+    parts = [encode_int(zi) for zi in z]
+    j = draw(st.integers(0, copies - 1))
+    mutation = draw(st.sampled_from(["none", "zero", "flip", "cut", "extend", "wide", "random"]))
+    if mutation == "zero":
+        parts[j] = b"\0" + parts[j]
+    elif mutation == "wide":
+        parts[j] = bytes([draw(st.integers(1, 255))]) + draw(
+            st.binary(min_size=width, max_size=width))
+    if copies == 1:
+        data = parts[0]
+    else:
+        data = b"".join(pack_field(p) for p in parts)
+    if mutation == "flip" and data:
+        pos = draw(st.integers(0, len(data) - 1))
+        data = data[:pos] + bytes([draw(st.integers(0, 255))]) + data[pos + 1:]
+    elif mutation == "cut" and data:
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif mutation == "extend":
+        data += draw(st.binary(min_size=1, max_size=3))
+    elif mutation == "random":
+        data = draw(st.binary(max_size=3 * copies * (2 + width)))
+    return protocol, data, tuple(z) if mutation == "none" else None
+
+
+class TestResponseHex:
+    """``response_hex`` matches the hex of exactly the canonical responses
+    whose parts are at most an element wide."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(response_bytes())
+    def test_match_iff_canonical_and_in_width(self, case):
+        protocol, data, z = case
+        matched = re.fullmatch(protocol.response_hex, data.hex()) is not None
+        try:
+            canonical = protocol.canonical_response(data) == data
+            in_width = all(len(p) <= _width(protocol.group.q) for p in parts_of(protocol, data))
+        except ValueError:
+            canonical = False
+        assert matched == (canonical and in_width)
+        if z is not None:
+            value = z if isinstance(protocol, RepeatedSigma) else z[0]
+            assert re.fullmatch(protocol.response_hex, protocol.encode_response(value).hex())
